@@ -9,14 +9,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import constructions, density, homogeneity
-from .configurations import find_cone_triple, search_counterexample_set
+from .configurations import search_counterexample_set
 from .geometry import build_direction_net, build_subspace_net
-from .measure import Ball, RegionQuery, lebesgue_tree, region_measure
+from .measure import Ball, MeasureInterval, RegionQuery, lebesgue_tree, region_measure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,7 +54,10 @@ def build_measure(spec: dict):
     _check_keys(spec, {"kind", "n", "k", "q"}, "measure spec")
     kind = spec.get("kind")
     if kind == "lebesgue":
-        return lebesgue_tree(int(spec.get("n", 1)), int(spec.get("k", 2)))
+        n, k = spec.get("n", 1), spec.get("k", 2)
+        _require(isinstance(n, int) and n >= 1, "field n must be an integer >= 1")
+        _require(isinstance(k, int) and k >= 2, "field k must be an integer >= 2")
+        return lebesgue_tree(n, k)
     if kind == "binomial":
         return constructions.binomial_tree()
     if kind == "constant-binomial":
@@ -108,17 +110,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _parallel(tasks, fn, threads: int):
-    """Deterministic parallel map: results keep task order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
+# The benchmark tracer wraps _parallel by name and reads fn as its second argument.
+def _parallel(tasks, fn):
+    """Serial map over tasks, in task order."""
+    return [fn(t) for t in tasks]
 
 
 def _interval_row(exp, point, j, radius, quantity, iv, meta=""):
-    if iv.lo > iv.hi:
-        raise AssertionError("interval with lo > hi emitted")
     point_str = "(" + " ".join(fmt(v) for v in np.atleast_1d(point)) + ")"
     return [exp, point_str, j, fmt(radius), quantity, fmt(iv.lo), fmt(iv.hi), meta]
 
@@ -144,7 +142,7 @@ def cmd_measure(args) -> int:
         return _interval_row("measure", x, j, r, "ball_mass", iv)
 
     tasks = [(i, x, j, r) for i, x in enumerate(pts) for j, r in enumerate(radii)]
-    rows = _parallel(tasks, work, args.threads)
+    rows = _parallel(tasks, work)
     csv_path = write_rows(args.out, "measure", rows)
     write_summary(args.out, "measure", {
         "command": "measure", "seed": args.seed, "depth": depth,
@@ -176,7 +174,7 @@ def cmd_density(args) -> int:
         return density.density_profile(tree, x, alpha, r0, levels, dir_net,
                                        sub_net, c, depth)
 
-    profiles = _parallel(pts, work, args.threads)
+    profiles = _parallel(pts, work)
     rows = []
     for x, prof in zip(pts, profiles):
         for j, (r, ratio) in enumerate(zip(prof.radii, prof.ratios), start=1):
@@ -202,7 +200,6 @@ def cmd_hom(args) -> int:
     est = homogeneity.hom_estimate(tree, i, l_max)
     rows = []
     for l, a in enumerate(est.partials, start=1):
-        iv = type("IV", (), {"lo": a, "hi": a})
         rows.append(["hom", "()", l, fmt(float(tree.k) ** (-l)),
                      f"hom_partial_i{i}", fmt(a), fmt(a), ""])
     csv_path = write_rows(args.out, "hom", rows)
@@ -233,12 +230,12 @@ def cmd_doubling(args) -> int:
     def work(x):
         return homogeneity.doubling_frequency(tree, x, gamma, k, c, l, depth)
 
-    stats = _parallel(pts, work, args.threads)
+    stats = _parallel(pts, work)
     rows = []
     for x, st in zip(pts, stats):
-        iv = type("IV", (), {"lo": st.frequency, "hi": st.frequency})
         rows.append(_interval_row("doubling", x, l, gamma, "doubling_frequency",
-                                  iv, f"undecided={len(st.undecided)}"))
+                                  MeasureInterval(st.frequency, st.frequency),
+                                  f"undecided={len(st.undecided)}"))
     csv_path = write_rows(args.out, "doubling", rows)
     write_summary(args.out, "doubling", {
         "command": "doubling", "seed": args.seed, "c": c, "l": l,
@@ -338,9 +335,7 @@ def _verify_example_2(depth: int, seed: int):
 def _verify_example_3(depth: int, seed: int):
     if depth > 8:
         raise ResourceGuard("example 3 level count capped at 8")
-    levels = max(depth, 6) if depth >= 1 else 6
-    if levels > 8:
-        raise ResourceGuard("example 3 level count capped at 8")
+    levels = max(depth, 6)
     tree = constructions.strip_block_tree(constructions.override_schedule)
     x, trail = constructions.support_point(tree, levels + 2, seed=seed)
     reports = [constructions.horizontal_strip_ratio(tree, trail[lev], x, 0.1)
@@ -387,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, help="accepted and ignored; runs are serial")
         p.add_argument("--out", default="out")
 
     p = sub.add_parser("measure", help="certified ball masses")

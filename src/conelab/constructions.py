@@ -4,12 +4,12 @@ the strip/block measure, together with their construction constants."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .measure import Ball, Box, MeasureInterval, MeasureTree, RegionQuery, kadic_tree, region_measure
+from .measure import Ball, Box, MeasureTree, RegionQuery, kadic_tree, region_measure
 
 
 # ---------------------------------------------------------------------------

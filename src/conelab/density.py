@@ -4,11 +4,11 @@ full constant dependency chain."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .configurations import SeparationConstant, compute_t, erdos_furedi_q
+from .configurations import compute_t, erdos_furedi_q
 from .geometry import (DirectionNet, Subspace, SubspaceNet,
                        build_direction_net, build_subspace_net)
 from .homogeneity import dimension_bound
@@ -60,6 +60,35 @@ class NetMinRatio:
         return MeasureInterval(self.lower_bound, max(self.lower_bound, hi))
 
 
+def _net_min_ratio(tree: MeasureTree, x, r: float, alpha: float, depth: int,
+                   cell_queries, compute_estimate: bool,
+                   early_stop_lo: float | None) -> NetMinRatio:
+    """Net minimum of num / mu(B(x, r)) over the (cell label, numerator query)
+    pairs of cell_queries(opening): the certified lower bound at opening
+    alpha/2 with early stopping, the estimate at opening alpha without."""
+    den = region_measure(tree, RegionQuery(ball=Ball(x, r)), depth)
+    if den.hi <= 0.0:
+        raise ZeroDivisionError("denominator ball has certified measure zero")
+    stop = early_stop_lo * den.hi if early_stop_lo is not None else None
+
+    def net_min(opening: float, stop_lo: float | None):
+        best_lo, best_hi, worst = math.inf, math.inf, None
+        for cell, q in cell_queries(opening):
+            num = region_measure(tree, q, depth, early_stop_lo=stop_lo)
+            iv = ratio_interval(num, den)
+            if iv.lo < best_lo:
+                best_lo, worst = iv.lo, cell
+            best_hi = min(best_hi, iv.hi)
+        return best_lo, best_hi, worst
+
+    lo_half, _, worst = net_min(alpha / 2.0, stop)
+    estimate = None
+    if compute_estimate:
+        lo_full, hi_full, _ = net_min(alpha, None)
+        estimate = MeasureInterval(lo_full, hi_full, depth)
+    return NetMinRatio(lo_half, estimate, worst)
+
+
 def halfspace_deficiency(tree: MeasureTree, x, r: float, alpha: float,
                          dir_net: DirectionNet, depth: int,
                          compute_estimate: bool = True,
@@ -71,31 +100,14 @@ def halfspace_deficiency(tree: MeasureTree, x, r: float, alpha: float,
     the estimate minimizes at opening alpha.
     """
     x = np.asarray(x, dtype=float)
-    den = region_measure(tree, RegionQuery(ball=Ball(x, r)), depth)
-    if den.hi <= 0.0:
-        raise ZeroDivisionError("denominator ball has certified measure zero")
-    stop = early_stop_lo * den.hi if early_stop_lo is not None else None
 
-    def net_min(opening: float, want_hi: bool):
-        best_lo, best_hi, worst = math.inf, math.inf, -1
-        for idx in range(dir_net.size):
-            theta = dir_net.directions[idx]
-            q = RegionQuery(ball=Ball(x, r),
-                            half_cone_excluded=(theta, opening))
-            num = region_measure(tree, q, depth,
-                                 early_stop_lo=None if want_hi else stop)
-            cell = ratio_interval(num, den)
-            if cell.lo < best_lo:
-                best_lo, worst = cell.lo, idx
-            best_hi = min(best_hi, cell.hi)
-        return best_lo, best_hi, worst
+    def cell_queries(opening: float):
+        for idx, theta in enumerate(dir_net.directions):
+            yield (idx,), RegionQuery(ball=Ball(x, r),
+                                      half_cone_excluded=(theta, opening))
 
-    lo_half, _, worst = net_min(alpha / 2.0, want_hi=False)
-    estimate = None
-    if compute_estimate:
-        lo_full, hi_full, _ = net_min(alpha, want_hi=True)
-        estimate = MeasureInterval(lo_full, hi_full, depth)
-    return NetMinRatio(lo_half, estimate, (worst,))
+    return _net_min_ratio(tree, x, r, alpha, depth, cell_queries,
+                          compute_estimate, early_stop_lo)
 
 
 def worst_cone_ratio(tree: MeasureTree, x, r: float, alpha: float,
@@ -105,32 +117,16 @@ def worst_cone_ratio(tree: MeasureTree, x, r: float, alpha: float,
     """inf over planes and directions of the non-symmetric cone ratio
     mu(X(x,r,V,alpha) \\ H(x,theta,alpha)) / mu(B(x,r)), via net minima."""
     x = np.asarray(x, dtype=float)
-    den = region_measure(tree, RegionQuery(ball=Ball(x, r)), depth)
-    if den.hi <= 0.0:
-        raise ZeroDivisionError("denominator ball has certified measure zero")
-    stop = early_stop_lo * den.hi if early_stop_lo is not None else None
 
-    def net_min(opening: float, want_hi: bool):
-        best_lo, best_hi, worst = math.inf, math.inf, (-1, -1)
+    def cell_queries(opening: float):
         for j, V in enumerate(sub_net.planes):
-            for idx in range(dir_net.size):
-                theta = dir_net.directions[idx]
-                q = RegionQuery(ball=Ball(x, r), plane_cone=(V, opening),
-                                half_cone_excluded=(theta, opening))
-                num = region_measure(tree, q, depth,
-                                     early_stop_lo=None if want_hi else stop)
-                cell = ratio_interval(num, den)
-                if cell.lo < best_lo:
-                    best_lo, worst = cell.lo, (j, idx)
-                best_hi = min(best_hi, cell.hi)
-        return best_lo, best_hi, worst
+            for idx, theta in enumerate(dir_net.directions):
+                yield (j, idx), RegionQuery(ball=Ball(x, r),
+                                            plane_cone=(V, opening),
+                                            half_cone_excluded=(theta, opening))
 
-    lo_half, _, worst = net_min(alpha / 2.0, want_hi=False)
-    estimate = None
-    if compute_estimate:
-        lo_full, hi_full, _ = net_min(alpha, want_hi=True)
-        estimate = MeasureInterval(lo_full, hi_full, depth)
-    return NetMinRatio(lo_half, estimate, worst)
+    return _net_min_ratio(tree, x, r, alpha, depth, cell_queries,
+                          compute_estimate, early_stop_lo)
 
 
 @dataclass(frozen=True)

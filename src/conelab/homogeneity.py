@@ -4,12 +4,12 @@ bound, doubling-scale statistics and the large-child scale frequency."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (Ball, Box, MeasureInterval, MeasureTree, RegionQuery,
-                      address_of_point, region_measure)
+from .measure import (Ball, Box, MeasureTree, RegionQuery, address_of_point,
+                      region_measure)
 
 NODE_GUARD = 2 ** 24
 

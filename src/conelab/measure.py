@@ -9,12 +9,9 @@ lies inside the query, and in `hi` unless it provably lies outside.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import Subspace
 
 WEIGHT_TOL = 1e-12
 
@@ -73,8 +70,10 @@ class MeasureInterval:
     depth_used: int = 0
 
     def __post_init__(self):
+        if self.hi < self.lo:
+            raise ValueError(f"interval with hi {self.hi!r} < lo {self.lo!r}")
         lo = min(max(self.lo, 0.0), 1.0)
-        hi = min(max(self.hi, lo), 1.0)
+        hi = min(max(self.hi, 0.0), 1.0)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -108,7 +107,6 @@ class MeasureTree:
         self._children_fn = children_fn
         self._validate_containment = validate_containment
         self._memo: dict[tuple, list] = {}
-        self._lock = threading.Lock()
 
     @property
     def ambient_dim(self) -> int:
@@ -117,11 +115,15 @@ class MeasureTree:
     def children(self, addr: tuple) -> list:
         """Children of the node at addr as (region, conditional weight) pairs."""
         addr = tuple(addr)
-        with self._lock:
-            got = self._memo.get(addr)
+        got = self._memo.get(addr)
         if got is not None:
             return got
-        region, _ = self.node(addr) if addr else (self.root_region, 1.0)
+        region = self.root_region
+        if addr:
+            siblings, idx = self.children(addr[:-1]), addr[-1]
+            if not 0 <= idx < len(siblings):
+                raise IndexError(f"child index {idx} out of range at depth {len(addr) - 1}")
+            region = siblings[idx][0]
         kids = self._children_fn(addr, region)
         total = math.fsum(w for _, w in kids)
         if abs(total - 1.0) > WEIGHT_TOL:
@@ -133,8 +135,7 @@ class MeasureTree:
                 d = float(np.linalg.norm(child.center - region.center))
                 if d + child.bounding_radius > region.radius + 1e-9:
                     raise ValueError(f"child region at {addr} escapes its parent")
-        with self._lock:
-            self._memo.setdefault(addr, kids)
+        self._memo[addr] = kids
         return kids
 
     def node(self, addr: tuple):

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from conelab.cli import main
 
 
@@ -45,6 +47,15 @@ def test_unknown_measure_kind_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"measure": {"kind": "nope"}})
     code = run(["measure", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", [{"k": 1}, {"n": "x"}, {"n": 0}])
+def test_bad_lebesgue_spec_exits_2(tmp_path, capsys, spec):
+    cfg = write_config(tmp_path, "bad.json",
+                       {"measure": {"kind": "lebesgue", **spec}})
+    code = run(["measure", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_measure_csv_deterministic_across_threads(tmp_path):

@@ -60,6 +60,43 @@ def test_worst_cone_ratio_positive_for_uniform():
     assert 0 <= res.worst_cell[1] < net.size
 
 
+# Values recorded with the per-function net minimization loops that the shared
+# routine replaced; the enclosures must stay bit for bit the same.
+GOLDEN_NET_MIN = [
+    ("halfspace", 7, True, None,
+     0.5891068447412354, (0.7598080133555927, 0.9754683318465656), (1,)),
+    ("halfspace", 7, False, None, 0.5891068447412354, None, (1,)),
+    ("halfspace", 7, False, 0.3, 0.30008347245409017, None, (2,)),
+    ("cone", 5, True, None,
+     0.060240963855421686, (0.17771084337349397, 1.0), (2, 0)),
+    ("cone", 5, False, None, 0.060240963855421686, None, (2, 0)),
+    ("cone", 5, False, 0.02, 0.02108433734939759, None, (0, 0)),
+]
+
+
+@pytest.mark.parametrize("which,depth,estimate,stop,lower,est,cell",
+                         GOLDEN_NET_MIN)
+def test_net_min_golden(which, depth, estimate, stop, lower, est, cell):
+    tree = lebesgue_tree(2)
+    x, r, alpha = np.array([0.5, 0.5]), 0.3, 0.9
+    net = build_direction_net(2, alpha)
+    if which == "halfspace":
+        res = halfspace_deficiency(tree, x, r, alpha, net, depth,
+                                   compute_estimate=estimate,
+                                   early_stop_lo=stop)
+    else:
+        sub = build_subspace_net(2, 1, alpha, seed=0)
+        res = worst_cone_ratio(tree, x, r, alpha, net, sub, depth,
+                               compute_estimate=estimate, early_stop_lo=stop)
+    assert res.lower_bound == lower
+    assert res.worst_cell == cell
+    if est is None:
+        assert res.estimate is None
+    else:
+        assert (res.estimate.lo, res.estimate.hi) == est
+        assert res.estimate.depth_used == depth
+
+
 def test_density_profile_running_sup_and_frequency():
     tree = lebesgue_tree(2)
     net = build_direction_net(2, 0.5)

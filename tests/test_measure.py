@@ -37,6 +37,11 @@ def test_interval_clamps_and_orders():
     assert iv.contains(0.35) and not iv.contains(0.6)
 
 
+def test_interval_refuses_hi_below_lo():
+    with pytest.raises(ValueError):
+        MeasureInterval(0.5, 0.4)
+
+
 def test_tree_rejects_bad_weights():
     def children_fn(addr, region):
         side = float(region.half[0])
@@ -58,6 +63,14 @@ def test_node_and_branch_fan():
     assert sum(m for _, m in fan) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         tree.branch_fan(())
+
+
+def test_out_of_range_child_index_raises():
+    tree = lebesgue_tree(1)
+    with pytest.raises(IndexError):
+        tree.node((0, 2))
+    with pytest.raises(IndexError):
+        tree.children((0, -1))
 
 
 def test_children_memoized_identity():
