@@ -48,22 +48,38 @@ def _check_keys(obj: dict, allowed: set, where: str):
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; a bool or a string is not a number."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _number(cfg: dict, key: str, default, valid, rule: str):
+    """The numeric field key of cfg, checked against valid (described by rule)."""
+    v = cfg.get(key, default)
+    _require(_is_number(v) and valid(v), f"field {key} must be {rule}")
+    return v
+
+
+def _integer(cfg: dict, key: str, default, lo: int, hi: int | None = None):
+    """The integer field key of cfg, within lo..hi (hi None: no upper limit)."""
+    v = cfg.get(key, default)
+    ok = isinstance(v, int) and not isinstance(v, bool) and v >= lo and (hi is None or v <= hi)
+    rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    _require(ok, f"field {key} must be an integer {rule}")
+    return v
+
+
 def build_measure(spec: dict):
     """Instantiate a measure tree from its config spec."""
     _require(isinstance(spec, dict), "measure spec must be an object")
     _check_keys(spec, {"kind", "n", "k", "q"}, "measure spec")
     kind = spec.get("kind")
     if kind == "lebesgue":
-        n, k = spec.get("n", 1), spec.get("k", 2)
-        _require(isinstance(n, int) and n >= 1, "field n must be an integer >= 1")
-        _require(isinstance(k, int) and k >= 2, "field k must be an integer >= 2")
-        return lebesgue_tree(n, k)
+        return lebesgue_tree(_integer(spec, "n", 1, 1), _integer(spec, "k", 2, 2))
     if kind == "binomial":
         return constructions.binomial_tree()
     if kind == "constant-binomial":
-        q = spec.get("q")
-        _require(isinstance(q, (int, float)) and 0 < q < 0.5,
-                 "field q must lie in (0, 0.5) for constant-binomial")
+        q = _number(spec, "q", None, lambda v: 0 < v < 0.5, "in (0, 0.5) for constant-binomial")
         return constructions.constant_binomial_tree(float(q))
     if kind == "rotating-ball":
         return constructions.rotating_ball_tree()
@@ -74,8 +90,12 @@ def build_measure(spec: dict):
 
 def sample_points(tree, config: dict, seed: int, depth: int):
     if "points" in config:
-        return [np.asarray(p, dtype=float) for p in config["points"]]
-    count = int(config.get("sample", 5))
+        pts, n = config["points"], tree.ambient_dim
+        _require(isinstance(pts, list) and pts and all(
+            isinstance(p, list) and len(p) == n and all(map(_is_number, p)) for p in pts),
+            f"field points must be a non-empty list of points with {n} coordinates each")
+        return [np.asarray(p, dtype=float) for p in pts]
+    count = _integer(config, "sample", 5, 1)
     return [np.asarray(p) for p in tree.sample_points(count, depth, seed=seed)]
 
 
@@ -131,9 +151,12 @@ def cmd_measure(args) -> int:
     _require("measure" in cfg, "config needs a measure spec")
     tree = build_measure(cfg["measure"])
     depth = args.depth or 12
-    radii = cfg.get("radii", [cfg.get("radius", 0.25)])
-    for r in radii:
-        _require(isinstance(r, (int, float)) and r > 0, "field radius must be positive")
+    if "radii" in cfg:
+        radii = cfg["radii"]
+        _require(isinstance(radii, list) and radii and all(_is_number(r) and r > 0 for r in radii),
+                 "field radii must be a non-empty list of positive numbers")
+    else:
+        radii = [_number(cfg, "radius", 0.25, lambda r: r > 0, "a positive number")]
     pts = sample_points(tree, cfg, args.seed, depth)
 
     def work(task):
@@ -155,17 +178,14 @@ def cmd_density(args) -> int:
     _check_keys(cfg, {"measure", "points", "sample", "alpha", "m", "r0",
                       "levels", "threshold"}, "config")
     _require("measure" in cfg, "config needs a measure spec")
-    alpha = cfg.get("alpha", 0.5)
-    _require(isinstance(alpha, (int, float)) and 0 < alpha <= 1,
-             "field alpha must lie in (0, 1]")
-    m = int(cfg.get("m", 1))
-    r0 = float(cfg.get("r0", 0.25))
-    levels = int(cfg.get("levels", 5))
-    c = float(cfg.get("threshold", 0.0))
+    alpha = _number(cfg, "alpha", 0.5, lambda v: 0 < v <= 1, "in (0, 1]")
+    r0 = float(_number(cfg, "r0", 0.25, lambda v: v > 0, "a positive number"))
+    levels = _integer(cfg, "levels", 5, 1)
+    c = float(_number(cfg, "threshold", 0.0, lambda v: v >= 0, "a number >= 0"))
     depth = args.depth or 12
     tree = build_measure(cfg["measure"])
     n = tree.ambient_dim
-    _require(0 <= m < n, "field m must satisfy 0 <= m < ambient dimension")
+    m = _integer(cfg, "m", 1, 0, n - 1)
     dir_net = build_direction_net(n, alpha, seed=args.seed)
     sub_net = build_subspace_net(n, m, alpha, seed=args.seed)
     pts = sample_points(tree, cfg, args.seed, depth)
@@ -195,8 +215,10 @@ def cmd_hom(args) -> int:
     _check_keys(cfg, {"measure", "i", "l_max"}, "config")
     _require("measure" in cfg, "config needs a measure spec")
     tree = build_measure(cfg["measure"])
-    i = int(cfg.get("i", 1))
-    l_max = int(cfg.get("l_max", 8))
+    _require(tree.k is not None, "hom needs a k-adic cube measure "
+             "(lebesgue, binomial or constant-binomial)")
+    i = _integer(cfg, "i", 1, 1, tree.k ** tree.ambient_dim)
+    l_max = _integer(cfg, "l_max", 8, 1)
     est = homogeneity.hom_estimate(tree, i, l_max)
     rows = []
     for l, a in enumerate(est.partials, start=1):
@@ -215,14 +237,13 @@ def cmd_doubling(args) -> int:
                       "l"}, "config")
     _require("measure" in cfg, "config needs a measure spec")
     tree = build_measure(cfg["measure"])
-    gamma = float(cfg.get("gamma", 1.0))
-    k = int(cfg.get("k", 2))
-    l = int(cfg.get("l", 20))
+    gamma = float(_number(cfg, "gamma", 1.0, lambda v: v > 0, "a positive number"))
+    k = _integer(cfg, "k", 2, 2)
+    l = _integer(cfg, "l", 20, 1)
     if "c" in cfg:
-        c = float(cfg["c"])
+        c = float(_number(cfg, "c", None, lambda v: v > 0, "a positive number"))
     else:
-        p = float(cfg.get("p", 0.5))
-        _require(0 < p < 1, "field p must lie in (0, 1)")
+        p = float(_number(cfg, "p", 0.5, lambda v: 0 < v < 1, "in (0, 1)"))
         c = homogeneity.doubling_constant(tree.ambient_dim, k, p)
     depth = args.depth or l + 15
     pts = sample_points(tree, cfg, args.seed, depth)

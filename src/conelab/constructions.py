@@ -57,52 +57,49 @@ def level_radius(n: int) -> float:
     return r
 
 
-def _rot_map(i: int, j: int):
-    """Affine contraction (M, t): z -> M z + t for child j at level i."""
+def _rot_level(i: int):
+    """Affine contractions z -> M_j z + t_j of the 2 i^2 children at level i.
+
+    M_j depends on j only through the sign (-1)^j of its rotation, so this
+    returns M for odd j, M for even j, and the list of t_j for j = 1..2 i^2.
+    """
     s = 1.0 / (2.0 * i * i)
     a = rotation_angle(i)
-    sign = -1.0 if j % 2 == 1 else 1.0  # (-1)^j with 1-based j
     ca, sa = math.cos(a), math.sin(a)
-    m = s * np.array([[ca, -sign * sa], [sign * sa, ca]])
-    t = s * np.array([2.0 * j - 2.0 * i * i - 1.0, 0.0])
-    return m, t
+    m_odd = s * np.array([[ca, sa], [-sa, ca]])
+    m_even = s * np.array([[ca, -sa], [sa, ca]])
+    shifts = [s * np.array([2.0 * j - 2.0 * i * i - 1.0, 0.0])
+              for j in range(1, 2 * i * i + 1)]
+    return m_odd, m_even, shifts
 
 
-def rotating_ball_tree(depth: int | None = None) -> MeasureTree:
+@dataclass(frozen=True)
+class _RotBall(Ball):
+    """Rotating-ball node: m is the linear part of the composed contraction
+    along its branch, whose translation is the center."""
+
+    m: np.ndarray
+
+
+def rotating_ball_tree() -> MeasureTree:
     """Ball hierarchy of the rotating-line construction.
 
     Level i refines each ball into 2 i^2 balls of radius R_i with uniform
     conditional weights; child centers come from exact composition of the
-    contraction maps along the branch. depth, when given, caps generation.
+    contraction maps along the branch.
     """
-    maps: dict[tuple, tuple] = {(): (np.eye(2), np.zeros(2))}
-
-    def composed(addr: tuple):
-        got = maps.get(addr)
-        if got is not None:
-            return got
-        m_par, t_par = composed(addr[:-1])
-        mc, tc = _rot_map(len(addr), addr[-1] + 1)  # child index is 0-based
-        out = (m_par @ mc, m_par @ tc + t_par)
-        maps[addr] = out
-        return out
 
     def children_fn(addr, region):
         i = len(addr) + 1
-        if depth is not None and i > depth:
-            raise ValueError(f"tree generated to depth {depth} only")
-        m_par, t_par = composed(addr)
         radius = level_radius(i)
-        count = 2 * i * i
-        out = []
-        for j in range(1, count + 1):
-            _, tc = _rot_map(i, j)
-            center = m_par @ tc + t_par
-            out.append((Ball(center, radius), 1.0 / count))
-        return out
+        m_odd, m_even, shifts = _rot_level(i)
+        m_odd, m_even = region.m @ m_odd, region.m @ m_even
+        w = 1.0 / len(shifts)
+        return [(_RotBall(region.m @ t + region.center, radius,
+                          m_odd if j % 2 else m_even), w)
+                for j, t in enumerate(shifts, start=1)]
 
-    return MeasureTree(Ball(np.zeros(2), 1.0), children_fn, kind="ball",
-                       validate_containment=True)
+    return MeasureTree(_RotBall(np.zeros(2), 1.0, np.eye(2)), children_fn)
 
 
 def level_ball_count(n: int) -> int:
@@ -208,60 +205,48 @@ def override_schedule(j: int) -> int:
     return j + 1
 
 
-def _strip_map(i: int, k: int, h: int):
-    """Scale and translation of the map f^i_{k,h}; all maps are axis-aligned."""
-    s = 1.0 / (2.0 * i ** 3)
-    t = np.array([((-1) ** k) * i * s, (2.0 * k * i * i + h) * s])
-    return s, t
+@dataclass(frozen=True)
+class _StripBox(Box):
+    """Strip/block node box carrying its composed map z -> scale z + shift."""
+
+    scale: float
+    shift: tuple
 
 
 def strip_block_tree(schedule=override_schedule) -> MeasureTree:
     """Rectangle hierarchy of the strip/block measure.
 
     The base measure is the unit vertical segment {0} x [0,1]. At level j the
-    2 I_j^3 maps f^{I_j}_{k,h} are applied with weights C_{I_j} (2I_j)^{-|h - I_j^2 + 1/2|}
+    2 I_j^3 maps f^{I_j}_{k,h}(z) = s z + s ((-1)^k I_j, 2 k I_j^2 + h),
+    s = 1 / (2 I_j^3), are applied with weights C_{I_j} (2I_j)^{-|h - I_j^2 + 1/2|}
     (independent of k). Children are enumerated with flat index k * 2 I^2 + h.
 
     Node regions are certified support bounding boxes: the horizontal
     half-width is the support_halfwidth bound at the node's level, so every
     node region contains its whole subtree support.
     """
-    affine: dict[tuple, tuple] = {(): (1.0, np.zeros(2))}
-
-    def composed(addr: tuple):
-        got = affine.get(addr)
-        if got is not None:
-            return got
-        s_par, t_par = composed(addr[:-1])
-        j = len(addr)
-        i = schedule(j)
-        k, h = divmod(addr[-1], 2 * i * i)
-        sc, tc = _strip_map(i, k, h)
-        out = (s_par * sc, s_par * tc + t_par)
-        affine[addr] = out
-        return out
-
-    root = Box(np.array([0.0, 0.5]),
-               np.array([support_halfwidth(schedule, 0), 0.5]))
+    root = _StripBox(np.array([0.0, 0.5]),
+                     np.array([support_halfwidth(schedule, 0), 0.5]), 1.0, (0.0, 0.0))
 
     def children_fn(addr, region):
         j = len(addr) + 1
         i = schedule(j)
         c_i = strip_weight_constant(i)
-        s_par, t_par = composed(addr)
-        w_child = support_halfwidth(schedule, j)
+        weights = [c_i * (2.0 * i) ** (-abs(h - i * i + 0.5)) for h in range(2 * i * i)]
+        sc = 1.0 / (2.0 * i ** 3)
+        s_par, (x_par, y_par) = region.scale, region.shift
+        s = s_par * sc
+        half = (support_halfwidth(schedule, j) * s, 0.5 * s)
         out = []
         for k in range(i):
-            for h in range(2 * i * i):
-                sc, tc = _strip_map(i, k, h)
-                s = s_par * sc
-                t = s_par * tc + t_par
-                center = np.array([t[0], t[1] + 0.5 * s])
-                w = c_i * (2.0 * i) ** (-abs(h - i * i + 0.5))
-                out.append((Box(center, np.array([w_child * s, 0.5 * s])), w))
+            x = s_par * (((-1) ** k) * i * sc) + x_par
+            for h, w in enumerate(weights):
+                y = s_par * ((2.0 * k * i * i + h) * sc) + y_par
+                out.append((_StripBox(np.array([x, y + 0.5 * s]), np.array(half),
+                                      s, (x, y)), w))
         return out
 
-    tree = MeasureTree(root, children_fn, kind="rect")
+    tree = MeasureTree(root, children_fn)
     tree.schedule = schedule
     return tree
 
@@ -290,8 +275,8 @@ def six_interval_constant(tree: MeasureTree, x: float, r: float,
     the smallest interval mass; returns that maximum divided by the upper
     bound of mu((x-3r, x+3r)). Returns 0 when no tuple fits.
     """
-    if tree.kind != "cube" or tree.ambient_dim != 1:
-        raise ValueError("six_interval_constant requires a 1-d cube tree")
+    if tree.k is None or tree.ambient_dim != 1:
+        raise ValueError("six_interval_constant requires a 1-d k-adic cube tree")
     if count < 2 or separation < 1:
         raise ValueError("need count >= 2 and separation >= 1")
     k = tree.k
@@ -553,13 +538,5 @@ def support_point(tree: MeasureTree, levels: int, seed: int = 0):
     Also returns the visited addresses so callers can evaluate per-level
     statistics along the branch.
     """
-    rng = np.random.default_rng(seed)
-    addr: tuple = ()
-    trail = [()]
-    for _ in range(levels):
-        kids = tree.children(addr)
-        weights = np.array([w for _, w in kids])
-        addr = addr + (int(rng.choice(len(kids), p=weights / weights.sum())),)
-        trail.append(addr)
-    region, _ = tree.node(addr)
+    trail, region = tree.sample_branch(np.random.default_rng(seed), levels)
     return np.asarray(region.center, dtype=float), trail

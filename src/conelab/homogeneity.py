@@ -32,8 +32,8 @@ class OrderedFan:
 
 def order_children(tree: MeasureTree, addr: tuple) -> OrderedFan:
     """Sort the fan at addr by mass (stable, so ties stay lexicographic)."""
-    if tree.kind != "cube":
-        raise ValueError("ordered fans are defined for cube-type trees only")
+    if tree.k is None:
+        raise ValueError("ordered fans are defined for k-adic cube trees only")
     _, parent_mass = tree.node(tuple(addr))
     kids = tree.children(tuple(addr))
     order = sorted(range(len(kids)), key=lambda idx: kids[idx][1])
@@ -67,15 +67,15 @@ def hom_estimate(tree: MeasureTree, i: int, l_max: int) -> HomEstimate:
     cubes, the mass of their i-th lightest child. Requires full-level
     traversal, guarded against node explosion.
     """
-    if tree.kind != "cube":
-        raise ValueError("hom_estimate requires a cube-type tree")
+    if tree.k is None:
+        raise ValueError("hom_estimate requires a k-adic cube tree")
     k = tree.k
     n = tree.ambient_dim
     fan_size = k ** n
     if not 1 <= i <= fan_size:
         raise ValueError(f"order index must lie in 1..{fan_size}")
 
-    if getattr(tree, "level_homogeneous", False):
+    if tree.level_homogeneous:
         # every level-j node has the same child weights, and node masses at a
         # level sum to 1, so S_j is the i-th smallest weight at level j
         addr: tuple = ()

@@ -96,16 +96,18 @@ class MeasureTree:
     for the children of the node at the given address; weights are
     conditional and must sum to one. Children are memoized per address, so
     children_fn must be a pure function of the address.
+
+    k is the arity of a k-adic cube tree, whose nodes split into the k^n
+    subcubes enumerated row-major, or None for any other hierarchy. Children
+    of a Ball region are checked to stay inside it. level_homogeneous marks
+    trees whose nodes share their child weights level by level.
     """
 
-    def __init__(self, root_region, children_fn, kind: str = "cube",
-                 validate_containment: bool = False):
-        if kind not in ("cube", "ball", "rect"):
-            raise ValueError(f"unknown tree kind {kind!r}")
+    def __init__(self, root_region, children_fn, k: int | None = None):
         self.root_region = root_region
-        self.kind = kind
+        self.k = k
+        self.level_homogeneous = False
         self._children_fn = children_fn
-        self._validate_containment = validate_containment
         self._memo: dict[tuple, list] = {}
 
     @property
@@ -130,7 +132,7 @@ class MeasureTree:
             raise ValueError(f"child weights at {addr} sum to {total}, not 1")
         if any(w <= 0.0 for _, w in kids):
             raise ValueError(f"non-positive child weight at {addr}")
-        if self._validate_containment and isinstance(region, Ball):
+        if isinstance(region, Ball):
             for child, _ in kids:
                 d = float(np.linalg.norm(child.center - region.center))
                 if d + child.bounding_radius > region.radius + 1e-9:
@@ -168,16 +170,25 @@ class MeasureTree:
         rng = np.random.default_rng(seed)
         out = np.empty((count, self.ambient_dim))
         for i in range(count):
-            addr: tuple = ()
-            region = self.root_region
-            for _ in range(depth):
-                kids = self.children(addr)
-                weights = np.array([w for _, w in kids])
-                idx = int(rng.choice(len(kids), p=weights / weights.sum()))
-                region = kids[idx][0]
-                addr = addr + (idx,)
-            out[i] = region.center
+            out[i] = self.sample_branch(rng, depth)[1].center
         return out
+
+    def sample_branch(self, rng, depth: int):
+        """Descend depth levels choosing children by conditional weight.
+
+        Returns the addresses visited, root first, and the final region.
+        """
+        addr: tuple = ()
+        trail = [addr]
+        region = self.root_region
+        for _ in range(depth):
+            kids = self.children(addr)
+            weights = np.array([w for _, w in kids])
+            idx = int(rng.choice(len(kids), p=weights / weights.sum()))
+            region = kids[idx][0]
+            addr = addr + (idx,)
+            trail.append(addr)
+        return trail, region
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +332,7 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
 # k-adic cube trees
 
 
-def kadic_tree(n: int, k: int, weight_fn, kind: str = "cube") -> MeasureTree:
+def kadic_tree(n: int, k: int, weight_fn) -> MeasureTree:
     """k-adic cube tree on [0,1)^n.
 
     weight_fn(level, flat_index) gives the conditional weight of the child
@@ -343,8 +354,7 @@ def kadic_tree(n: int, k: int, weight_fn, kind: str = "cube") -> MeasureTree:
             out.append((child, weight_fn(level, flat)))
         return out
 
-    tree = MeasureTree(cube(np.zeros(n), 1.0), children_fn, kind=kind)
-    tree.k = k
+    tree = MeasureTree(cube(np.zeros(n), 1.0), children_fn, k=k)
     # weight_fn sees only (level, flat): all nodes of a level share weights
     tree.level_homogeneous = True
     return tree
@@ -362,7 +372,7 @@ def address_of_point(tree: MeasureTree, x, depth: int) -> tuple:
     Half-open convention: a point on a shared face belongs to the cube on its
     right. Uses the row-major child enumeration of kadic_tree.
     """
-    if tree.kind != "cube" or not hasattr(tree, "k"):
+    if tree.k is None:
         raise ValueError("address_of_point requires a k-adic cube tree")
     x = np.asarray(x, dtype=float)
     n = tree.ambient_dim

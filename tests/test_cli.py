@@ -58,6 +58,47 @@ def test_bad_lebesgue_spec_exits_2(tmp_path, capsys, spec):
     assert "config error" in capsys.readouterr().err
 
 
+LEB1 = {"kind": "lebesgue", "n": 1}
+LEB2 = {"kind": "lebesgue", "n": 2}
+DENSITY = {"measure": LEB2, "points": [[0.5, 0.5]], "alpha": 0.9, "levels": 1}
+DOUBLING = {"measure": LEB1, "points": [[0.5]], "l": 3}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("measure", {"measure": {"kind": "lebesgue", "n": True}}),
+    ("measure", {"measure": LEB2, "radii": 5}),
+    ("measure", {"measure": LEB1, "radii": []}),
+    ("measure", {"measure": LEB1, "radius": True}),
+    ("measure", {"measure": LEB1, "sample": "x"}),
+    ("measure", {"measure": LEB1, "sample": 0}),
+    ("measure", {"measure": LEB2, "points": [[0.5]]}),
+    ("measure", {"measure": LEB2, "points": [[0.5, "x"]]}),
+    ("density", {**DENSITY, "levels": "x"}),
+    ("density", {**DENSITY, "levels": "1"}),
+    ("density", {**DENSITY, "r0": "0.2"}),
+    ("density", {**DENSITY, "alpha": True}),
+    ("density", {**DENSITY, "m": "1"}),
+    ("doubling", {**DOUBLING, "l": "3"}),
+    ("doubling", {**DOUBLING, "gamma": 0}),
+    ("doubling", {**DOUBLING, "k": 1}),
+    ("doubling", {**DOUBLING, "p": "0.5"}),
+    ("doubling", {**DOUBLING, "c": "x"}),
+    ("hom", {"measure": {"kind": "rotating-ball"}}),
+    ("hom", {"measure": {"kind": "strip-block"}}),
+    ("hom", {"measure": {"kind": "binomial"}, "i": 5}),
+    ("hom", {"measure": {"kind": "binomial"}, "l_max": "4"}),
+], ids=["n-bool", "radii-number", "radii-empty", "radius-bool", "sample-string",
+        "sample-0", "point-1d-on-2d", "point-string-coordinate", "levels-x",
+        "levels-string", "r0-string", "alpha-bool", "m-string", "l-string",
+        "gamma-0", "k-1", "p-string", "c-string", "hom-rotating-ball",
+        "hom-strip-block", "hom-i-out-of-range", "l_max-string"])
+def test_bad_config_field_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    code = run([command, "--config", cfg, "--depth", "4", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_measure_csv_deterministic_across_threads(tmp_path):
     cfg = write_config(tmp_path, "m.json", {
         "measure": {"kind": "lebesgue", "n": 1},

@@ -17,7 +17,8 @@ from conelab.constructions import (ScheduleConstants, ball_hits_plane_cone,
                                    strip_weight_constant_fraction,
                                    support_halfwidth, support_point,
                                    verify_curve_exclusion)
-from conelab.measure import lebesgue_tree
+from conelab.homogeneity import hom_estimate, order_children
+from conelab.measure import address_of_point, lebesgue_tree
 
 
 def test_binomial_weights():
@@ -207,3 +208,80 @@ def test_curve_exclusion_no_violations():
     rep = verify_curve_exclusion(tree, level=1, trials=500, seed=0)
     assert rep.violations == 0
     assert rep.vertical_checked + rep.horizontal_checked >= rep.lines_checked
+
+
+# Exact node geometry along a few branches. Equality pins the order of the
+# map products: reordering them changes the low bits.
+ROTATING_BALL_GOLDEN = {
+    (0,): ((-0.5, 0.0), 0.5),
+    (0, 0): ((-0.7363822588173111, 0.3681435558534547), 0.0625),
+    (0, 0, 0): ((-0.7283610492922555, 0.4266237982190424), 0.003472222222222222),
+    (0, 0, 0, 0): ((-0.7261591426012892, 0.42916666813200166), 0.00010850694444444444),
+    (1,): ((0.5, 0.0), 0.5),
+    (1, 5): ((0.6013066823502762, 0.15777580965148058), 0.0625),
+    (1, 5, 9): ((0.6008348464958612, 0.16121582390827985), 0.003472222222222222),
+    (1, 5, 9, 16): ((0.6007638172477655, 0.16129785196998822), 0.00010850694444444444),
+    (0, 6): ((-0.3311555294162063, -0.26295968275246767), 0.0625),
+    (0, 6, 13): ((-0.3354020521059416, -0.29391981106366116), 0.003472222222222222),
+    (0, 6, 13, 27): ((-0.33433670486176165, -0.29617665680461036), 0.00010850694444444444),
+}
+
+STRIP_BLOCK_GOLDEN = {
+    (0,): ((0.125, 0.03125), (0.0035085725518133617, 0.03125)),
+    (0, 0): ((0.1284722222222222, 0.0005787037037037037),
+             (3.6350329591139716e-05, 0.0005787037037037037)),
+    (0, 0, 0): ((0.1285083912037037, 4.521122685185185e-06),
+                (1.813481096582323e-07, 4.521122685185185e-06)),
+    (9,): ((-0.125, 0.59375), (0.0035085725518133617, 0.03125)),
+    (9, 27): ((-0.1284722222222222, 0.5943287037037037),
+              (3.6350329591139716e-05, 0.0005787037037037037)),
+    (9, 27, 70): ((-0.12843605324074073, 0.5943874782986112),
+                  (1.813481096582323e-07, 4.521122685185185e-06)),
+    (4,): ((0.125, 0.28125), (0.0035085725518133617, 0.03125)),
+    (4, 40): ((0.1284722222222222, 0.296875),
+              (3.6350329591139716e-05, 0.0005787037037037037)),
+    (4, 40, 99): ((0.12843605324074073, 0.29719599971064814),
+                  (1.813481096582323e-07, 4.521122685185185e-06)),
+    (15,): ((-0.125, 0.96875), (0.0035085725518133617, 0.03125)),
+    (15, 53): ((-0.12152777777777778, 0.9994212962962963),
+               (3.6350329591139716e-05, 0.0005787037037037037)),
+    (15, 53, 127): ((-0.12156394675925926, 0.9999954788773149),
+                    (1.813481096582323e-07, 4.521122685185185e-06)),
+}
+
+
+def test_rotating_ball_geometry_golden():
+    tree = rotating_ball_tree()
+    for addr, (center, radius) in ROTATING_BALL_GOLDEN.items():
+        region, _ = tree.node(addr)
+        assert (tuple(map(float, region.center)), region.radius) == (center, radius), addr
+
+
+def test_strip_block_geometry_golden():
+    tree = strip_block_tree()
+    for addr, (center, half) in STRIP_BLOCK_GOLDEN.items():
+        region, _ = tree.node(addr)
+        assert (tuple(map(float, region.center)), tuple(map(float, region.half))) == (center, half), addr
+
+
+@pytest.mark.parametrize("make_tree, levels", [(binomial_tree, 12), (strip_block_tree, 3)])
+def test_support_point_is_one_sample_descent(make_tree, levels):
+    tree = make_tree()
+    for seed in (0, 5):
+        x, trail = support_point(tree, levels, seed=seed)
+        assert np.array_equal(x, tree.sample_points(1, levels, seed)[0])
+        assert len(trail) == levels + 1 and len(trail[-1]) == levels
+        assert all(trail[j] == trail[-1][:j] for j in range(levels + 1))
+        assert np.array_equal(x, tree.node(trail[-1])[0].center)
+
+
+@pytest.mark.parametrize("make_tree", [rotating_ball_tree, strip_block_tree])
+@pytest.mark.parametrize("query", [
+    lambda tree: order_children(tree, ()),
+    lambda tree: hom_estimate(tree, 1, 2),
+    lambda tree: address_of_point(tree, tree.root_region.center, 2),
+    lambda tree: six_interval_constant(tree, 0.5, 0.1),
+], ids=["order_children", "hom_estimate", "address_of_point", "six_interval_constant"])
+def test_kadic_only_functions_refuse_other_trees(make_tree, query):
+    with pytest.raises(ValueError):
+        query(make_tree())
