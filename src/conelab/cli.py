@@ -178,7 +178,7 @@ def cmd_density(args) -> int:
     _check_keys(cfg, {"measure", "points", "sample", "alpha", "m", "r0",
                       "levels", "threshold"}, "config")
     _require("measure" in cfg, "config needs a measure spec")
-    alpha = _number(cfg, "alpha", 0.5, lambda v: 0 < v <= 1, "in (0, 1]")
+    alpha = _number(cfg, "alpha", 0.5, lambda v: 0 < v < 1, "in (0, 1)")
     r0 = float(_number(cfg, "r0", 0.25, lambda v: v > 0, "a positive number"))
     levels = _integer(cfg, "levels", 5, 1)
     c = float(_number(cfg, "threshold", 0.0, lambda v: v >= 0, "a number >= 0"))
@@ -266,8 +266,11 @@ def cmd_doubling(args) -> int:
 
 def cmd_constants(args) -> int:
     _require(args.n >= 1, "field n must be at least 1")
-    _require(args.m < args.s <= args.n, "fields must satisfy m < s <= n")
-    _require(0 < args.alpha <= 1, "field alpha must lie in (0, 1]")
+    _require(0 <= args.m < args.s <= args.n, "fields must satisfy 0 <= m < s <= n")
+    _require(0 < args.alpha < 1, "field alpha must lie in (0, 1)")
+    if args.n - args.m >= 2:
+        _require(args.q is not None and args.q >= 1,
+                 "field q must be given and at least 1 when n - m >= 2")
     report = density.constants_chain(args.n, args.m, args.s, args.alpha,
                                      q=args.q, seed=args.seed)
     checks = report.verify()
@@ -295,6 +298,7 @@ def cmd_ef(args) -> int:
     _require(args.n >= 1, "field n must be at least 1")
     _require(0 < args.alpha <= 1, "field alpha must lie in (0, 1]")
     _require(args.size >= 3, "field size must be at least 3")
+    _require(args.trials >= 1, "field trials must be at least 1")
     found = search_counterexample_set(args.n, args.alpha, args.size,
                                       args.trials, args.seed)
     payload = {
@@ -338,10 +342,8 @@ def _verify_example_2(depth: int, seed: int):
         raise ResourceGuard("example 2 depth capped at 256")
     alpha = 0.9
     cap = math.ceil(10.0 / alpha) + 1
-    tree = constructions.rotating_ball_tree()
     levels = list(range(2, max(depth, 3) + 1))
-    reports = [constructions.perpendicular_cone_hits(tree, n, alpha)
-               for n in levels]
+    reports = [constructions.perpendicular_cone_hits(n, alpha) for n in levels]
     rows = [["verify-example-2", "(branch)", rep["level"], fmt(rep["scale"]),
              "cone_hit_count", fmt(rep["hits"]), fmt(rep["hits"]),
              f"cap={cap}"]
@@ -451,6 +453,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand takes --seed and --depth
+        _require(args.seed >= 0, "field seed must be at least 0")
+        _require(args.depth is None or args.depth >= 0,
+                 "field depth must be at least 0 (0 means the command's default)")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -351,6 +351,24 @@ def _line_hits_rect(p: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return bool(cross.min() <= 0.0 <= cross.max())
 
 
+def _strips(tree: MeasureTree, addr: tuple, i: int) -> list:
+    """The I = i strips of the children of the node at addr, by k index.
+
+    Each strip is (lo, hi, blocks): blocks are its 2 i^2 (region, weight)
+    children in ascending y, and [lo, hi] is the box from the first block's
+    lower corner to the last block's upper corner. Blocks of one strip share
+    their center x and half-widths, so that box spans the whole strip.
+    """
+    kids = tree.children(addr)
+    fan = 2 * i * i
+    out = []
+    for k in range(i):
+        blocks = kids[k * fan:(k + 1) * fan]
+        first, last = blocks[0][0], blocks[-1][0]
+        out.append((first.center - first.half, last.center + last.half, blocks))
+    return out
+
+
 def verify_curve_exclusion(tree: MeasureTree, level: int, trials: int,
                            seed: int) -> CurveExclusionReport:
     """Straight-line proxy for the C^1-curve exclusion of the strip/block set.
@@ -363,33 +381,16 @@ def verify_curve_exclusion(tree: MeasureTree, level: int, trials: int,
     """
     schedule = tree.schedule
     i_next = schedule(level + 1)
-    w_child = support_halfwidth(schedule, level + 1)
+
+    def box(region):
+        return region.center - region.half, region.center + region.half
 
     def node_boxes(addr):
         """(vertical-pair boxes, strip boxes) of the children of a parent node."""
-        region, _ = tree.node(addr)
-        kids = tree.children(addr)
-        s_child = 2.0 * kids[0][0].half[1]
-        pairs = []
-        strips = []
-        for k in range(i_next):
-            blocks = [kids[k * 2 * i_next * i_next + h][0] for h in range(2 * i_next * i_next)]
-            cx = blocks[0].center[0]
-            y_lo = blocks[0].center[1] - blocks[0].half[1]
-            y_hi = blocks[-1].center[1] + blocks[-1].half[1]
-            half_w = w_child * s_child
-            strips.append((np.array([cx - half_w, y_lo]), np.array([cx + half_w, y_hi])))
-            top = blocks[-1]
-            bottom = blocks[0]
-            if k + 1 < i_next:
-                nxt = kids[(k + 1) * 2 * i_next * i_next][0]
-                pairs.append((
-                    (np.array([top.center[0] - half_w, top.center[1] - top.half[1]]),
-                     np.array([top.center[0] + half_w, top.center[1] + top.half[1]])),
-                    (np.array([nxt.center[0] - half_w, nxt.center[1] - nxt.half[1]]),
-                     np.array([nxt.center[0] + half_w, nxt.center[1] + nxt.half[1]])),
-                ))
-        return pairs, strips
+        strips = _strips(tree, addr, i_next)
+        pairs = [(box(below[-1][0]), box(above[0][0]))
+                 for (_, _, below), (_, _, above) in zip(strips, strips[1:])]
+        return pairs, [(lo, hi) for lo, hi, _ in strips]
 
     parents: list[tuple] = [()]
     for j in range(level):
@@ -454,35 +455,30 @@ def ball_hits_plane_cone(x, direction, alpha: float, center, radius: float) -> b
     return dist < radius
 
 
-def perpendicular_cone_hits(tree: MeasureTree, level: int, alpha: float) -> dict:
+def perpendicular_cone_hits(level: int, alpha: float) -> dict:
     """Sibling-fan cone hit count at one level of the rotating-ball tree.
 
-    Follows the middle-child branch to the given level, takes x at the node
-    center and the scale r = level * R_level, orients the cone perpendicular
-    to the sibling fan line, and counts siblings whose ball meets both the
-    cone and B(x, r).
+    Takes the fan of 2 level^2 siblings at the given level, puts x at the
+    center of the middle sibling (0-based index level^2), takes the scale
+    r = level * R_level, orients the cone perpendicular to the fan line, and
+    counts siblings whose ball meets both the cone and B(x, r).
 
-    Sibling centers are exactly collinear and the configuration is
-    similarity-invariant, so the count is evaluated in the parent's local
-    frame (fan along the first axis, parent ball of radius 1). Global
-    coordinates would cancel catastrophically once R_level drops below the
-    double-precision resolution of the ambient position.
+    Every fan of a level is the same configuration up to a similarity, so
+    the count is evaluated in the parent's local frame: the sibling centers
+    are the shifts of _rot_level (fan along the first axis, parent ball of
+    radius 1). Global coordinates would cancel catastrophically once
+    R_level drops below the double-precision resolution of the ambient
+    position.
     """
-    addr: tuple = ()
-    for j in range(1, level):
-        addr = addr + (j * j,)  # middle child of the 2 j^2 fan
-    kids = tree.children(addr)
-    count = len(kids)
+    _, _, shifts = _rot_level(level)
+    centers = np.array(shifts)
+    count = len(shifts)
     s = 1.0 / count  # sibling radius relative to the parent ball
-    centers = [np.array([(2.0 * j - count - 1.0) * s, 0.0])
-               for j in range(1, count + 1)]
     perp = np.array([0.0, 1.0])
-    x = centers[level * level]  # middle child, matching the branch choice
+    x = centers[level * level]
     r = level * s
-    hits = sum(
-        1 for c in centers
-        if np.linalg.norm(c - x) < r + s
-        and ball_hits_plane_cone(x, perp, alpha, c, s))
+    near = centers[np.linalg.norm(centers - x, axis=1) < r + s]
+    hits = sum(1 for c in near if ball_hits_plane_cone(x, perp, alpha, c, s))
     return {"level": level, "hits": hits, "radius": level_radius(level),
             "scale": level * level_radius(level), "fan_size": count}
 
@@ -509,22 +505,13 @@ def horizontal_strip_ratio(tree: MeasureTree, addr: tuple, x, alpha: float) -> d
     so the hit count is conservative. The two-column geometry keeps the count
     at 2 for small alpha, giving the ratio bound 2/I.
     """
-    schedule = tree.schedule
     j = len(addr) + 1
-    i = schedule(j)
-    kids = tree.children(addr)
-    w_child = support_halfwidth(schedule, j)
+    i = tree.schedule(j)
     x = np.asarray(x, dtype=float)
     hit_mass = 0.0
     hits = 0
-    for k in range(i):
-        blocks = [kids[k * 2 * i * i + h] for h in range(2 * i * i)]
-        cx = blocks[0][0].center[0]
-        half_w = w_child * 2.0 * blocks[0][0].half[1]
-        y_lo = blocks[0][0].center[1] - blocks[0][0].half[1]
-        y_hi = blocks[-1][0].center[1] + blocks[-1][0].half[1]
-        if _box_hits_horizontal_cone(x, alpha, np.array([cx - half_w, y_lo]),
-                                     np.array([cx + half_w, y_hi])):
+    for lo, hi, blocks in _strips(tree, addr, i):
+        if _box_hits_horizontal_cone(x, alpha, lo, hi):
             hits += 1
             hit_mass += sum(w for _, w in blocks)
     return {"level": j, "strip_count": i, "hits": hits,

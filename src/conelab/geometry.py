@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ORTHO_TOL = 1e-12
-
 
 def _as_vector(v, n=None):
     a = np.asarray(v, dtype=float)

@@ -181,6 +181,8 @@ def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
                           tau: float, l: int, depth_margin: int = 10) -> float:
     """Fraction of levels j <= l whose level-j cube around x has its
     (k^n - M k^m)-th ordered child heavier than c times mu(tau Q) (upper bound)."""
+    if tree.k is None:
+        raise ValueError("large_child_frequency requires a k-adic cube tree")
     if tau < 1.0:
         raise ValueError("tau must be at least 1")
     k = tree.k

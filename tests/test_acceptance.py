@@ -16,7 +16,7 @@ from conelab.configurations import (check_separated_inclusion, compute_t,
 from conelab.constructions import (binomial_tree, level_radius,
                                    override_schedule,
                                    perpendicular_cone_hits,
-                                   rotating_ball_tree, schedule_constants,
+                                   schedule_constants,
                                    six_interval_constant, strip_block_tree,
                                    strip_weight_constant_fraction,
                                    horizontal_strip_ratio, support_point,
@@ -250,8 +250,7 @@ def test_criterion_10_rotating_ball_cone_counts():
     assert level_radius(3) == 1.0 / 288.0
     alpha = 0.9
     cap = math.ceil(10.0 / alpha) + 1
-    tree = rotating_ball_tree()
-    reports = [perpendicular_cone_hits(tree, n, alpha) for n in range(2, 65)]
+    reports = [perpendicular_cone_hits(n, alpha) for n in range(2, 65)]
     hits = [r["hits"] for r in reports]
     assert max(hits) <= cap
     ratios = [cap / r["level"] for r in reports]

@@ -77,6 +77,7 @@ DOUBLING = {"measure": LEB1, "points": [[0.5]], "l": 3}
     ("density", {**DENSITY, "levels": "1"}),
     ("density", {**DENSITY, "r0": "0.2"}),
     ("density", {**DENSITY, "alpha": True}),
+    ("density", {**DENSITY, "alpha": 1}),
     ("density", {**DENSITY, "m": "1"}),
     ("doubling", {**DOUBLING, "l": "3"}),
     ("doubling", {**DOUBLING, "gamma": 0}),
@@ -89,7 +90,7 @@ DOUBLING = {"measure": LEB1, "points": [[0.5]], "l": 3}
     ("hom", {"measure": {"kind": "binomial"}, "l_max": "4"}),
 ], ids=["n-bool", "radii-number", "radii-empty", "radius-bool", "sample-string",
         "sample-0", "point-1d-on-2d", "point-string-coordinate", "levels-x",
-        "levels-string", "r0-string", "alpha-bool", "m-string", "l-string",
+        "levels-string", "r0-string", "alpha-bool", "alpha-1", "m-string", "l-string",
         "gamma-0", "k-1", "p-string", "c-string", "hom-rotating-ball",
         "hom-strip-block", "hom-i-out-of-range", "l_max-string"])
 def test_bad_config_field_exits_2(tmp_path, capsys, command, payload):
@@ -97,6 +98,44 @@ def test_bad_config_field_exits_2(tmp_path, capsys, command, payload):
     code = run([command, "--config", cfg, "--depth", "4", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+SAMPLED = {"measure": {"measure": LEB1, "sample": 2},
+           "density": {"measure": LEB2, "sample": 1, "alpha": 0.9, "levels": 1},
+           "doubling": DOUBLING}
+CHAIN = ["constants", "-n", "3", "-m", "1", "-s", "2", "--alpha", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--depth", "-1"],
+    ["density", "--depth", "-1"],
+    ["doubling", "--depth", "-1"],
+    ["verify-example", "2", "--depth", "-1"],
+    ["measure", "--seed", "-1"],
+    ["density", "--seed", "-1"],
+    ["ef", "-n", "2", "--alpha", "0.1", "--seed", "-1"],
+    ["ef", "-n", "2", "--alpha", "0.1", "--trials", "-1"],
+    ["constants", "-n", "2", "-m", "1", "-s", "2", "--alpha", "1"],
+    ["constants", "-n", "2", "-m", "-1", "-s", "1", "--alpha", "0.5"],
+    CHAIN + ["--q", "0"],
+    CHAIN,
+], ids=["measure-depth", "density-depth", "doubling-depth", "verify-example-depth",
+        "measure-seed", "density-seed", "ef-seed", "ef-trials", "constants-alpha-1",
+        "constants-m", "constants-q-0", "constants-no-q"])
+def test_bad_flag_exits_2(tmp_path, capsys, argv):
+    if argv[0] in SAMPLED:
+        argv = argv + ["--config", write_config(tmp_path, "cfg.json", SAMPLED[argv[0]])]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_depth_0_means_the_default(tmp_path):
+    cfg = write_config(tmp_path, "m.json", SAMPLED["measure"])
+    for name, extra in (("zero", ["--depth", "0"]), ("absent", [])):
+        assert run(["measure", "--config", cfg, "--out", str(tmp_path / name)] + extra) == 0
+    zero, absent = tmp_path / "zero", tmp_path / "absent"
+    assert (zero / "measure.csv").read_bytes() == (absent / "measure.csv").read_bytes()
+    assert json.loads((zero / "measure.json").read_text())["depth"] == 12
 
 
 def test_measure_csv_deterministic_across_threads(tmp_path):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conelab.constructions import (ScheduleConstants, ball_hits_plane_cone,
+from conelab.constructions import (CurveExclusionReport, ScheduleConstants,
+                                   _strips, ball_hits_plane_cone,
                                    binomial_tree, constant_binomial_tree,
                                    default_binomial_schedule,
                                    diameter_bookkeeping,
@@ -17,7 +18,8 @@ from conelab.constructions import (ScheduleConstants, ball_hits_plane_cone,
                                    strip_weight_constant_fraction,
                                    support_halfwidth, support_point,
                                    verify_curve_exclusion)
-from conelab.homogeneity import hom_estimate, order_children
+from conelab.homogeneity import (hom_estimate, large_child_frequency,
+                                 order_children)
 from conelab.measure import address_of_point, lebesgue_tree
 
 
@@ -184,9 +186,8 @@ def test_ball_hits_plane_cone_cases():
 
 
 def test_perpendicular_cone_hits_constant():
-    tree = rotating_ball_tree()
     for n in (2, 5, 16):
-        rep = perpendicular_cone_hits(tree, n, 0.9)
+        rep = perpendicular_cone_hits(n, 0.9)
         assert rep["hits"] == 3
         assert rep["fan_size"] == 2 * n * n
 
@@ -281,7 +282,108 @@ def test_support_point_is_one_sample_descent(make_tree, levels):
     lambda tree: hom_estimate(tree, 1, 2),
     lambda tree: address_of_point(tree, tree.root_region.center, 2),
     lambda tree: six_interval_constant(tree, 0.5, 0.1),
-], ids=["order_children", "hom_estimate", "address_of_point", "six_interval_constant"])
+    lambda tree: large_child_frequency(tree, tree.root_region.center, 0, 1, 0.1, 1.0, 2),
+], ids=["order_children", "hom_estimate", "address_of_point", "six_interval_constant",
+        "large_child_frequency"])
 def test_kadic_only_functions_refuse_other_trees(make_tree, query):
     with pytest.raises(ValueError):
         query(make_tree())
+
+
+# Hit counts recorded by walking the middle branch of rotating_ball_tree() to
+# each level's fan; the fan's local frame must give the same counts.
+CONE_HITS_GOLDEN = {  # alpha -> hits at levels 2..64
+    0.1: (1,) * 63,
+    0.5: (1,) * 63,
+    0.9: (3,) * 63,
+    1.0: (
+        3, 3, 5, 5, 7, 7, 9, 9, 11, 11, 13, 14, 15, 15, 17, 17, 19, 19, 21, 21, 23, 23,
+        25, 25, 27, 27, 29, 29, 31, 31, 33, 34, 35, 35, 37, 37, 39, 39, 41, 41, 43, 44,
+        45, 46, 47, 47, 49, 49, 51, 51, 53, 54, 55, 55, 57, 57, 59, 59, 61, 61, 63, 63,
+        65,
+    ),
+}
+
+
+def test_perpendicular_cone_hits_golden():
+    for alpha, hits in CONE_HITS_GOLDEN.items():
+        got = tuple(perpendicular_cone_hits(n, alpha)["hits"] for n in range(2, 65))
+        assert got == hits, alpha
+
+
+# (hits, ratio) at the 9 nodes of support_point(strip_block_tree(), 8, seed):
+# the first seven levels agree for every seed and alpha but one.
+_FIRST_SEVEN = ((1, 0.5), (1, 0.33333333333333337), (1, 0.25000000000000006), (1, 0.2),
+                (1, 0.1666666666666667), (1, 0.14285714285714285), (1, 0.125))
+_LAST_TWO = {0: ((5, 0.5555555555555555), (10, 1.0)),
+             1: ((5, 0.5555555555555555), (10, 1.0)),
+             2: ((3, 0.33333333333333326), (10, 1.0)),
+             3: ((3, 0.33333333333333326), (10, 1.0)),
+             4: ((5, 0.5555555555555555), (10, 1.0))}
+STRIP_RATIO_GOLDEN = {(seed, alpha): _FIRST_SEVEN + _LAST_TWO[seed]
+                      for seed in range(5) for alpha in (0.05, 0.1, 0.3, 0.6)}
+STRIP_RATIO_GOLDEN[1, 0.6] = ((2, 1.0),) + _FIRST_SEVEN[1:] + _LAST_TWO[1]
+
+
+def test_horizontal_strip_ratio_golden():
+    tree = strip_block_tree()
+    for seed in range(5):
+        x, trail = support_point(tree, 8, seed)
+        for alpha in (0.05, 0.1, 0.3, 0.6):
+            got = tuple((rep["hits"], rep["ratio"])
+                        for rep in (horizontal_strip_ratio(tree, addr, x, alpha)
+                                    for addr in trail))
+            assert got == STRIP_RATIO_GOLDEN[seed, alpha], (seed, alpha)
+
+
+# Strip boxes (lo, hi) of the children of a few nodes: the support half-width
+# around each strip's x, and its first block's bottom to its last block's top.
+STRIP_BOXES_GOLDEN = {
+    (): (
+        ((0.12149142744818664, 0.0),
+         (0.12850857255181336, 0.5)),
+        ((-0.12850857255181336, 0.5),
+         (-0.12149142744818664, 1.0)),
+    ),
+    (3,): (
+        ((0.12843587189263106, 0.1875),
+         (0.12850857255181336, 0.20833333333333331)),
+        ((0.12149142744818664, 0.20833333333333334),
+         (0.12156412810736891, 0.22916666666666663)),
+        ((0.12843587189263106, 0.22916666666666666),
+         (0.12850857255181336, 0.24999999999999997)),
+    ),
+    (9, 27): (
+        ((-0.1284362345888504, 0.59375),
+         (-0.12843587189263106, 0.594039351851852)),
+        ((-0.12850857255181336, 0.5940393518518519),
+         (-0.12850820985559402, 0.5943287037037038)),
+        ((-0.1284362345888504, 0.5943287037037037),
+         (-0.12843587189263106, 0.5946180555555557)),
+        ((-0.12850857255181336, 0.5946180555555556),
+         (-0.12850820985559402, 0.5949074074074076)),
+    ),
+}
+
+
+def test_strip_boxes_golden():
+    tree = strip_block_tree()
+    for addr, boxes in STRIP_BOXES_GOLDEN.items():
+        got = tuple((tuple(map(float, lo)), tuple(map(float, hi)))
+                    for lo, hi, _ in _strips(tree, addr, tree.schedule(len(addr) + 1)))
+        assert got == boxes, addr
+
+
+def test_curve_exclusion_golden():
+    tree = strip_block_tree()
+    golden = {  # (level, seed) -> (vertical, horizontal) lines checked
+        (0, 0): (153, 165),
+        (1, 0): (153, 165),
+        (0, 1): (160, 155),
+        (1, 1): (160, 155),
+        (0, 2): (158, 168),
+        (1, 2): (158, 168),
+    }
+    for (level, seed), (vert, horiz) in golden.items():
+        rep = verify_curve_exclusion(tree, level, 200, seed)
+        assert rep == CurveExclusionReport(level, 200, vert, horiz, 0, 0), (level, seed)
