@@ -251,11 +251,11 @@ def strip_block_tree(schedule=override_schedule) -> MeasureTree:
     return tree
 
 
-def support_halfwidth(schedule, level: int, lookahead: int = 20) -> float:
+def support_halfwidth(schedule, level: int) -> float:
     """Upper bound W on the horizontal support spread below a level-`level` node,
     relative to the node scale: spt lies in x-center +- W * scale."""
-    w = 1.0  # safe bound on the tail beyond the lookahead (true spread < 0.14)
-    for j in range(level + lookahead, level, -1):
+    w = 1.0  # safe bound on the tail beyond 20 levels (true spread < 0.14)
+    for j in range(level + 20, level, -1):
         i = schedule(j)
         w = 1.0 / (2.0 * i * i) + w / (2.0 * i ** 3)
     return w
@@ -266,19 +266,18 @@ def support_halfwidth(schedule, level: int, lookahead: int = 20) -> float:
 
 
 def six_interval_constant(tree: MeasureTree, x: float, r: float,
-                          count: int = 6, separation: int = 3,
                           depth: int = 12) -> float:
     """Best achievable min-mass ratio for separated sub-intervals of (x-r, x+r).
 
     Searches all depth-level dyadic intervals strictly inside (x-r, x+r) for
-    count-tuples whose separation-dilates are pairwise disjoint, maximizing
-    the smallest interval mass; returns that maximum divided by the upper
-    bound of mu((x-3r, x+3r)). Returns 0 when no tuple fits.
+    six-tuples whose 3-dilates are pairwise disjoint (indices at least 3
+    apart), maximizing the smallest interval mass; returns that maximum
+    divided by the upper bound of mu((x-3r, x+3r)). Returns 0 when no tuple
+    fits.
     """
     if tree.k is None or tree.ambient_dim != 1:
         raise ValueError("six_interval_constant requires a 1-d k-adic cube tree")
-    if count < 2 or separation < 1:
-        raise ValueError("need count >= 2 and separation >= 1")
+    count, separation = 6, 3
     k = tree.k
     length = float(k) ** (-depth)
     a_min = math.floor((x - r) / length) + 1          # first index fully inside

@@ -27,8 +27,7 @@ def ratio_interval(num: MeasureInterval, den: MeasureInterval) -> MeasureInterva
 
 
 def conical_ratio(tree: MeasureTree, x, r: float, V: Subspace, theta,
-                  alpha: float, depth: int,
-                  early_stop_lo: float | None = None) -> MeasureInterval:
+                  alpha: float, depth: int) -> MeasureInterval:
     """Enclosure of mu(X(x, r, V, alpha) \\ H(x, theta, alpha)) / mu(B(x, r))."""
     if r <= 0.0 or not 0.0 < alpha <= 1.0:
         raise ValueError("need r > 0 and alpha in (0, 1]")
@@ -36,9 +35,7 @@ def conical_ratio(tree: MeasureTree, x, r: float, V: Subspace, theta,
     den = region_measure(tree, RegionQuery(ball=Ball(x, r)), depth)
     num_query = RegionQuery(ball=Ball(x, r), plane_cone=(V, alpha),
                             half_cone_excluded=(np.asarray(theta, float), alpha))
-    stop = early_stop_lo * den.hi if early_stop_lo is not None else None
-    num = region_measure(tree, num_query, depth, early_stop_lo=stop)
-    return ratio_interval(num, den)
+    return ratio_interval(region_measure(tree, num_query, depth), den)
 
 
 @dataclass(frozen=True)
@@ -151,27 +148,23 @@ class DensityProfile:
             out.append(best)
         return tuple(out)
 
-    def frequency(self, c: float | None = None, l: int | None = None) -> float:
-        """Fraction of the first l scales whose certified ratio exceeds c."""
-        c = self.threshold if c is None else c
-        l = len(self.ratios) if l is None else l
-        vals = self.lower_bounds[:l]
-        return sum(1 for v in vals if v > c) / l
+    def frequency(self) -> float:
+        """Fraction of the scales whose certified ratio exceeds the threshold."""
+        return sum(1 for v in self.lower_bounds if v > self.threshold) / len(self.ratios)
 
 
 def density_profile(tree: MeasureTree, x, alpha: float, r0: float, levels: int,
                     dir_net: DirectionNet, sub_net: SubspaceNet, c: float,
-                    depth: int, compute_estimate: bool = False,
-                    early_stop_lo: float | None = None) -> DensityProfile:
-    """Evaluate worst_cone_ratio at radii r0 * 2^-j for j = 1..levels."""
+                    depth: int, early_stop_lo: float | None = None) -> DensityProfile:
+    """Evaluate worst_cone_ratio, without the estimate, at radii r0 * 2^-j
+    for j = 1..levels."""
     if levels < 1:
         raise ValueError("levels must be positive")
     x = np.asarray(x, dtype=float)
     radii = tuple(r0 * 2.0 ** (-j) for j in range(1, levels + 1))
     ratios = tuple(
         worst_cone_ratio(tree, x, r, alpha, dir_net, sub_net, depth,
-                         compute_estimate=compute_estimate,
-                         early_stop_lo=early_stop_lo)
+                         compute_estimate=False, early_stop_lo=early_stop_lo)
         for r in radii)
     return DensityProfile(x, alpha, radii, ratios, c)
 
@@ -226,8 +219,8 @@ class BallCollectionReport:
 
 
 def check_ball_collection(tree: MeasureTree, x, r: float, report,
-                          balls, sub_net: SubspaceNet, depth: int = 12,
-                          c: float | None = None) -> BallCollectionReport:
+                          balls, sub_net: SubspaceNet,
+                          depth: int = 12) -> BallCollectionReport:
     """Verify the three sufficient conditions on a sub-ball collection.
 
     (1) 2t-dilates pairwise disjoint (exact center distances);
@@ -241,7 +234,7 @@ def check_ball_collection(tree: MeasureTree, x, r: float, report,
     q = report.q
     K = sub_net.size
     m = report.m
-    c = report.c if c is None else c
+    c = report.c
     centers = [np.asarray(b[0], dtype=float) for b in balls]
     radii = [float(b[1]) for b in balls]
     for ctr, rad in zip(centers, radii):

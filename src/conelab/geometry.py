@@ -186,13 +186,12 @@ def random_unit_vectors(n: int, count: int, rng) -> np.ndarray:
     return g / norms
 
 
-def build_direction_net(n: int, alpha: float, seed: int = 0,
-                        rejection_streak: int = 10_000) -> DirectionNet:
+def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
     """Covering net of S^{n-1} by cones H(0, theta_i, beta).
 
     n = 1 and n = 2 are deterministic; higher dimensions use a randomized
     greedy packing at 90% of the covering angle so the sample-tested
-    certificate has slack.
+    certificate has slack; it stops after 10,000 rejections in a row.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -213,7 +212,7 @@ def build_direction_net(n: int, alpha: float, seed: int = 0,
     cos_sep = math.cos(sep)
     kept: list[np.ndarray] = []
     streak = 0
-    while streak < rejection_streak:
+    while streak < 10_000:
         cand = random_unit_vectors(n, 1, rng)[0]
         if kept and np.max(np.asarray(kept) @ cand) >= cos_sep:
             streak += 1
@@ -255,12 +254,11 @@ def random_subspace(n: int, m: int, rng) -> Subspace:
 
 
 def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
-                       rejection_streak: int = 10_000,
-                       separation_margin: float = 0.1) -> SubspaceNet:
+                       rejection_streak: int = 10_000) -> SubspaceNet:
     """Randomized greedy covering of G(n, n-m) by balls of radius alpha/2.
 
-    Samples are kept when farther than (1 - separation_margin) * alpha/2 from
-    every kept plane; construction stops after a long rejection streak. The
+    Samples are kept when farther than 0.9 * alpha/2 from every kept plane;
+    construction stops after rejection_streak rejections in a row. The 10%
     margin keeps the sampled covering certificate comfortably away from the
     stopping-rule tail.
     """
@@ -271,7 +269,7 @@ def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
     if m == 0:
         return SubspaceNet((Subspace.full(n),), alpha)
     rng = np.random.default_rng(seed)
-    sep = (1.0 - separation_margin) * alpha / 2.0
+    sep = 0.9 * alpha / 2.0
     kept: list[Subspace] = []
     streak = 0
     while streak < rejection_streak:

@@ -178,9 +178,10 @@ def doubling_frequency(tree: MeasureTree, x, gamma: float, k: int, c: float,
 
 
 def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
-                          tau: float, l: int, depth_margin: int = 10) -> float:
+                          tau: float, l: int) -> float:
     """Fraction of levels j <= l whose level-j cube around x has its
-    (k^n - M k^m)-th ordered child heavier than c times mu(tau Q) (upper bound)."""
+    (k^n - M k^m)-th ordered child heavier than c times mu(tau Q) (upper bound,
+    at depth budget j + 10)."""
     if tree.k is None:
         raise ValueError("large_child_frequency requires a k-adic cube tree")
     if tau < 1.0:
@@ -198,7 +199,7 @@ def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
         _, mass, _ = fan.child(index)
         region, _ = tree.node(addr)
         dilated = RegionQuery(box=Box(region.center, tau * region.half))
-        bound = region_measure(tree, dilated, j + depth_margin)
+        bound = region_measure(tree, dilated, j + 10)
         if mass > c * bound.hi:
             hits += 1
     return hits / l

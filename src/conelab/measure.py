@@ -9,7 +9,7 @@ lies inside the query, and in `hi` unless it provably lies outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,7 +200,14 @@ class RegionQuery:
     """Query region: base ball (or box) intersected with optional cones.
 
     Semantics: base /\\ X(x, V, a_V) /\\ X+(x, theta, a_+) \\ H(x, theta_H, a_H)
-    with x the base center; omitted parts are the whole space.
+    with x the base center; omitted parts are the whole space. Directions
+    must be unit vectors and planes must share the base's dimension; every
+    opening lies in (0, 1].
+
+    The cones are kept as rows (plane, shape, a, excluded), each a Lipschitz
+    margin of the offset d from x, positive inside the open cone:
+    a |d| - dist(d, V) for the plane cone, and d . theta - a |d| otherwise,
+    with a = sqrt(1 - alpha^2) for X+ and a = alpha for H.
     """
 
     ball: Ball | None = None
@@ -208,12 +215,33 @@ class RegionQuery:
     plane_cone: tuple | None = None     # (Subspace, alpha)
     one_sided_cone: tuple | None = None  # (unit direction, alpha)
     half_cone_excluded: tuple | None = None  # (unit direction, alpha)
+    cones: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.ball is None) == (self.box is None):
             raise ValueError("exactly one of ball or box must be given")
         if self.ball is not None and self.ball.radius <= 0:
             raise ValueError("query ball radius must be positive")
+        n = len(self.center)
+        for cone in (self.plane_cone, self.one_sided_cone, self.half_cone_excluded):
+            if cone is not None and not 0.0 < cone[1] <= 1.0:
+                raise ValueError("cone opening alpha must lie in (0, 1]")
+        cones = []
+        if self.plane_cone is not None:
+            V, alpha = self.plane_cone
+            if V.ambient_dim != n:
+                raise ValueError(f"cone plane must lie in R^{n}")
+            cones.append((True, V, alpha, False))
+        for cone, excluded in ((self.one_sided_cone, False), (self.half_cone_excluded, True)):
+            if cone is None:
+                continue
+            theta, alpha = cone
+            theta = np.asarray(theta, dtype=float)
+            if theta.shape != (n,) or not abs(float(np.linalg.norm(theta)) - 1.0) <= 1e-12:
+                raise ValueError(f"cone direction must be a unit vector in R^{n}")
+            a = alpha if excluded else math.sqrt(max(0.0, 1.0 - alpha * alpha))
+            cones.append((False, theta, a, excluded))
+        object.__setattr__(self, "cones", tuple(cones))
 
     @property
     def center(self) -> np.ndarray:
@@ -244,54 +272,29 @@ def _classify_base(region, query: RegionQuery) -> int:
     return _UNDECIDED
 
 
-def _classify_margin(value: float, margin: float) -> int:
-    """Sign of a Lipschitz function over a bounding ball: >0 inside the open set."""
-    if value > margin:
-        return _INSIDE
-    if value <= -margin:
-        return _OUTSIDE
-    return _UNDECIDED
-
-
 def _classify(region, query: RegionQuery) -> int:
-    """Conservative three-way classification of a node region against a query."""
+    """Conservative three-way classification of a node region against a query.
+
+    Each cone margin is (1 + a)-Lipschitz, so over the node's bounding ball
+    it stays within (1 + a) rho of its value at the node center.
+    """
     verdict = _classify_base(region, query)
-    if verdict == _OUTSIDE:
-        return _OUTSIDE
-    x = query.center
+    if verdict == _OUTSIDE or not query.cones:
+        return verdict
     rho = region.bounding_radius
-    c = region.center
-    d = c - x
+    d = region.center - query.center
     nd = float(np.linalg.norm(d))
-
-    if query.plane_cone is not None:
-        V, alpha = query.plane_cone
-        g = alpha * nd - V.dist(d)
-        side = _classify_margin(g, (1.0 + alpha) * rho)
-        if side == _OUTSIDE:
-            return _OUTSIDE
-        if side == _UNDECIDED:
+    for plane, shape, a, excluded in query.cones:
+        value = a * nd - shape.dist(d) if plane else float(d @ shape) - a * nd
+        margin = (1.0 + a) * rho
+        if value > margin:
+            if excluded:  # fully inside the excluded cone
+                return _OUTSIDE
+        elif value <= -margin:
+            if not excluded:
+                return _OUTSIDE
+        else:
             verdict = _UNDECIDED
-
-    if query.one_sided_cone is not None:
-        theta, alpha = query.one_sided_cone
-        a = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-        h = float(d @ theta) - a * nd
-        side = _classify_margin(h, (1.0 + a) * rho)
-        if side == _OUTSIDE:
-            return _OUTSIDE
-        if side == _UNDECIDED:
-            verdict = _UNDECIDED
-
-    if query.half_cone_excluded is not None:
-        theta, alpha = query.half_cone_excluded
-        h = float(d @ theta) - alpha * nd
-        side = _classify_margin(h, (1.0 + alpha) * rho)
-        if side == _INSIDE:  # fully inside the excluded cone
-            return _OUTSIDE
-        if side == _UNDECIDED:
-            verdict = _UNDECIDED
-
     return verdict
 
 
@@ -305,6 +308,8 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
     """
     if depth_budget < 0:
         raise ValueError("depth_budget must be non-negative")
+    if len(query.center) != tree.ambient_dim:
+        raise ValueError("query and tree differ in dimension")
     lo = 0.0
     hi = 0.0
     depth_used = 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conelab import constructions
 from conelab.constructions import (CurveExclusionReport, ScheduleConstants,
                                    _strips, ball_hits_plane_cone,
                                    binomial_tree, constant_binomial_tree,
@@ -387,3 +388,24 @@ def test_curve_exclusion_golden():
     for (level, seed), (vert, horiz) in golden.items():
         rep = verify_curve_exclusion(tree, level, 200, seed)
         assert rep == CurveExclusionReport(level, 200, vert, horiz, 0, 0), (level, seed)
+
+
+def test_curve_exclusion_pairs_top_block_with_next_bottom_block(monkeypatch):
+    """A steep line at level 0 is first tested against the top block of
+    strip 0 and the bottom block of strip 1: with I = 2 strips of 2 I^2 = 8
+    blocks each, those are children 7 and 8 of the root."""
+    tree = strip_block_tree()
+    assert tree.schedule(1) == 2
+    rects = []
+
+    def record(p, u, lo, hi):
+        rects.append((tuple(map(float, lo)), tuple(map(float, hi))))
+        return True
+
+    monkeypatch.setattr(constructions, "_line_hits_rect", record)
+    rep = verify_curve_exclusion(tree, 0, 1, seed=1)
+    assert rep.vertical_checked == 1
+    kids = tree.children(())
+    expect = [(tuple(map(float, r.center - r.half)), tuple(map(float, r.center + r.half)))
+              for r in (kids[7][0], kids[8][0])]
+    assert rects[:2] == expect

@@ -1,11 +1,13 @@
 """Static checks on the package sources, in place of an external linter."""
 
 import ast
+import math
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "conelab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "conelab"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -86,3 +88,95 @@ def test_constant_checker_flags_unread_and_keeps_read():
 def test_no_unread_module_constants():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert unread_constants(sources) == []
+
+
+def _callable_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unset_parameters(sources: dict) -> list:
+    """(module, line, "function.parameter") of the defaulted parameters of
+    functions and methods defined under src/ that no call in any of the given
+    modules passes, by keyword or by position.
+
+    Calls are matched by the called name alone, so a call through an
+    attribute counts for every method of that name, and a call of a class
+    counts for its __init__. A call with *args or **kwargs passes all.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    passed: dict = {}  # called name -> (max positional count, keywords or None for all)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = _callable_name(node.func) if isinstance(node, ast.Call) else None
+            npos, kws = passed.get(name, (0, set()))
+            if name is None or kws is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                passed[name] = (math.inf, None)
+            else:
+                passed[name] = (max(npos, len(node.args)),
+                                kws | {k.arg for k in node.keywords})
+    found = []
+    for mod, tree in trees.items():
+        if not mod.startswith("src/"):
+            continue
+        owners = {id(fn): cls.name for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            decorators = {_callable_name(d) for d in fn.decorator_list}
+            if "property" in decorators:
+                continue
+            owner = owners.get(id(fn))
+            name = owner if fn.name == "__init__" else fn.name
+            npos, kws = passed.get(name, (0, set()))
+            if kws is None:
+                continue
+            params = fn.args.posonlyargs + fn.args.args
+            if owner is not None and "staticmethod" not in decorators:
+                params = params[1:]  # self or cls
+            first = len(params) - len(fn.args.defaults)
+            unset = [arg for pos, arg in enumerate(params[first:], start=first)
+                     if pos >= npos and arg.arg not in kws]
+            unset += [arg for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if default is not None and arg.arg not in kws]
+            found += [(mod, fn.lineno, f"{fn.name}.{arg.arg}") for arg in unset]
+    return sorted(found)
+
+
+def test_unset_checker_flags_unpassed_and_keeps_passed():
+    sources = {
+        "src/pkg/a.py": ("class Tree:\n"
+                         "    def __init__(self, root, k=None):\n"
+                         "        self.root = root\n"
+                         "    def walk(self, depth, stop=None, trace=False):\n"
+                         "        return depth\n"
+                         "    @staticmethod\n"
+                         "    def make(n, seed=0):\n"
+                         "        return Tree(n)\n"
+                         "def measure(tree, depth=3, *, tol=1e-9):\n"
+                         "    return tree.walk(depth, None)\n"
+                         "def forward(*args, **kwargs):\n"
+                         "    return measure(*args, **kwargs)\n"
+                         "def spare(x, scale=2.0):\n"
+                         "    return x * scale\n"),
+        "tests/test_a.py": ("from pkg.a import Tree, measure, spare\n"
+                            "def test_it(bias=1):\n"
+                            "    tree = Tree.make(2, 7)\n"
+                            "    assert spare(tree.walk(4, trace=True))\n"),
+    }
+    assert unset_parameters(sources) == [("src/pkg/a.py", 2, "__init__.k"),
+                                         ("src/pkg/a.py", 13, "spare.scale")]
+
+
+def test_no_unset_parameters():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert unset_parameters(sources) == []
