@@ -94,16 +94,6 @@ class Subspace:
         return float(np.linalg.norm(v - self.project(v)))
 
     @staticmethod
-    def from_vectors(vectors) -> "Subspace":
-        """Build a subspace from (not necessarily orthonormal) spanning vectors."""
-        a = np.atleast_2d(np.asarray(vectors, dtype=float))
-        q, r = np.linalg.qr(a.T)
-        rank = int(np.sum(np.abs(np.diag(r)) > 1e-12))
-        if rank < a.shape[0]:
-            raise ValueError("spanning vectors are linearly dependent")
-        return Subspace(q.T[:rank])
-
-    @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(np.eye(n))
 
@@ -138,8 +128,6 @@ def subspace_distance(V: Subspace, W: Subspace) -> float:
         raise ValueError("ambient dimension mismatch")
     if V.codim != W.codim:
         raise ValueError("codimension mismatch")
-    if V.dim == 0:
-        return 0.0
     s = np.linalg.svd(V.frame @ W.frame.T, compute_uv=False)
     smin = min(1.0, float(np.min(s)))
     return math.sqrt(max(0.0, 1.0 - smin * smin))
@@ -246,8 +234,6 @@ class SubspaceNet:
 
 def random_subspace(n: int, m: int, rng) -> Subspace:
     """Rotation-invariant random (n-m)-plane via orthonormalized Gaussian frames."""
-    if m == 0:
-        return Subspace.full(n)
     g = rng.standard_normal((n, n - m))
     q, _ = np.linalg.qr(g)
     return Subspace(q.T)

@@ -4,14 +4,13 @@ bound, doubling-scale statistics and the large-child scale frequency."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import (Ball, Box, MeasureTree, RegionQuery, address_of_point,
                       region_measure)
-
-NODE_GUARD = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,9 @@ def hom_estimate(tree: MeasureTree, i: int, l_max: int) -> HomEstimate:
     """Exact partial averages A_l of the order-i homogeneity, l <= l_max.
 
     A_l = (k^n / l) * sum_{j=1}^{l} S_j where S_j sums, over all level-j
-    cubes, the mass of their i-th lightest child. Requires full-level
-    traversal, guarded against node explosion.
+    cubes, the mass of their i-th lightest child. Every k-adic tree is
+    level-homogeneous and the masses of a level sum to 1, so S_j is the i-th
+    smallest child weight at level j, read along the leftmost branch.
     """
     if tree.k is None:
         raise ValueError("hom_estimate requires a k-adic cube tree")
@@ -74,33 +74,15 @@ def hom_estimate(tree: MeasureTree, i: int, l_max: int) -> HomEstimate:
     fan_size = k ** n
     if not 1 <= i <= fan_size:
         raise ValueError(f"order index must lie in 1..{fan_size}")
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
 
-    if tree.level_homogeneous:
-        # every level-j node has the same child weights, and node masses at a
-        # level sum to 1, so S_j is the i-th smallest weight at level j
-        addr: tuple = ()
-        level_sums = [0.0] * (l_max + 1)
-        for j in range(1, l_max + 1):
-            weights = sorted(w for _, w in tree.children(addr))
-            level_sums[j] = weights[i - 1]
-            addr = addr + (0,)
-    else:
-        total_nodes = sum(fan_size ** j for j in range(1, l_max + 1))
-        if total_nodes > NODE_GUARD:
-            raise ValueError(
-                f"full traversal needs {total_nodes} nodes (> {NODE_GUARD}); "
-                "reduce l_max or use a coarser tree")
-        level_sums = [0.0] * (l_max + 1)  # level_sums[j] = S_j, 1-based
-
-        def visit(addr, mass, level):
-            kids = tree.children(addr)
-            weights = sorted(w for _, w in kids)
-            level_sums[level] += mass * weights[i - 1]
-            if level < l_max:
-                for idx, (_, w) in enumerate(kids):
-                    visit(addr + (idx,), mass * w, level + 1)
-
-        visit((), 1.0, 1)
+    addr: tuple = ()
+    level_sums = [0.0] * (l_max + 1)  # level_sums[j] = S_j, 1-based
+    for j in range(1, l_max + 1):
+        weights = sorted(w for _, w in tree.children(addr))
+        level_sums[j] = weights[i - 1]
+        addr = addr + (0,)
 
     partials = []
     running = 0.0
@@ -186,20 +168,26 @@ def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
         raise ValueError("large_child_frequency requires a k-adic cube tree")
     if tau < 1.0:
         raise ValueError("tau must be at least 1")
+    if l < 1:
+        raise ValueError("l must be at least 1")
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (m, M)):
+        raise ValueError("m and M must be non-negative integers")
     k = tree.k
     n = tree.ambient_dim
     index = k ** n - M * k ** m
     if index < 1:
         raise ValueError("k^n - M k^m must be at least 1")
-    x = np.asarray(x, dtype=float)
+    addr = address_of_point(tree, x, l)
     hits = 0
+    mass = 1.0
     for j in range(1, l + 1):
-        addr = address_of_point(tree, x, j)
-        fan = order_children(tree, addr)
-        _, mass, _ = fan.child(index)
-        region, _ = tree.node(addr)
+        # child_mass is order_children(tree, addr[:j]).child(index)[1], bit for bit
+        region, w = tree.children(addr[:j - 1])[addr[j - 1]]
+        mass *= w
+        weights = sorted(cw for _, cw in tree.children(addr[:j]))
+        child_mass = mass * weights[index - 1]
         dilated = RegionQuery(box=Box(region.center, tau * region.half))
         bound = region_measure(tree, dilated, j + 10)
-        if mass > c * bound.hi:
+        if child_mass > c * bound.hi:
             hits += 1
     return hits / l

@@ -98,15 +98,16 @@ class MeasureTree:
     children_fn must be a pure function of the address.
 
     k is the arity of a k-adic cube tree, whose nodes split into the k^n
-    subcubes enumerated row-major, or None for any other hierarchy. Children
-    of a Ball region are checked to stay inside it. level_homogeneous marks
-    trees whose nodes share their child weights level by level.
+    subcubes enumerated row-major, or None for any other hierarchy. Only
+    kadic_tree sets k, and its weights depend on the level and child index
+    alone, so every k-adic tree is level-homogeneous: all nodes of a level
+    share their child weights. Children of a Ball region are checked to stay
+    inside it.
     """
 
     def __init__(self, root_region, children_fn, k: int | None = None):
         self.root_region = root_region
         self.k = k
-        self.level_homogeneous = False
         self._children_fn = children_fn
         self._memo: dict[tuple, list] = {}
 
@@ -359,10 +360,7 @@ def kadic_tree(n: int, k: int, weight_fn) -> MeasureTree:
             out.append((child, weight_fn(level, flat)))
         return out
 
-    tree = MeasureTree(cube(np.zeros(n), 1.0), children_fn, k=k)
-    # weight_fn sees only (level, flat): all nodes of a level share weights
-    tree.level_homogeneous = True
-    return tree
+    return MeasureTree(cube(np.zeros(n), 1.0), children_fn, k=k)
 
 
 def lebesgue_tree(n: int, k: int = 2) -> MeasureTree:
@@ -381,6 +379,10 @@ def address_of_point(tree: MeasureTree, x, depth: int) -> tuple:
         raise ValueError("address_of_point requires a k-adic cube tree")
     x = np.asarray(x, dtype=float)
     n = tree.ambient_dim
+    if x.shape != (n,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"point must be a finite vector in R^{n}")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     root_lo = tree.root_region.center - tree.root_region.half
     root_hi = tree.root_region.center + tree.root_region.half
     if np.any(x < root_lo) or np.any(x >= root_hi):

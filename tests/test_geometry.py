@@ -77,11 +77,6 @@ def test_subspace_frame_validation_and_projection():
         Subspace(np.array([[1.0, 1.0]]))
 
 
-def test_subspace_from_vectors_rejects_dependent():
-    with pytest.raises(ValueError):
-        Subspace.from_vectors([[1.0, 0.0], [2.0, 0.0]])
-
-
 def test_plane_cone_membership():
     V = Subspace(np.array([[1.0, 0.0]]))
     x = np.zeros(2)
