@@ -15,7 +15,7 @@ import numpy as np
 from . import constructions, density, homogeneity
 from .configurations import search_counterexample_set
 from .geometry import build_direction_net, build_subspace_net
-from .measure import Ball, MeasureInterval, RegionQuery, lebesgue_tree, region_measure
+from .measure import Ball, RegionQuery, lebesgue_tree, region_measure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,9 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _check_keys(obj: dict, allowed: set, where: str):
+def _check_keys(obj, allowed: set, where: str):
+    """Refuse obj unless it is a JSON object whose keys all lie in allowed."""
+    _require(isinstance(obj, dict), f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
 
@@ -71,7 +73,6 @@ def _integer(cfg: dict, key: str, default, lo: int, hi: int | None = None):
 
 def build_measure(spec: dict):
     """Instantiate a measure tree from its config spec."""
-    _require(isinstance(spec, dict), "measure spec must be an object")
     _check_keys(spec, {"kind", "n", "k", "q"}, "measure spec")
     kind = spec.get("kind")
     if kind == "lebesgue":
@@ -100,13 +101,14 @@ def sample_points(tree, config: dict, seed: int, depth: int):
 
 
 def write_rows(out_dir: str, name: str, rows: list) -> str:
+    """Write rows to name.csv, each after an experiment column reading name."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(row)
+            writer.writerow([name, *row])
     return path
 
 
@@ -120,14 +122,34 @@ def write_summary(out_dir: str, name: str, payload: dict) -> str:
     return path
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+def write_outputs(out_dir: str, name: str, rows: list, summary: dict):
+    """Write the CSV rows and the JSON summary of one run."""
+    csv_path = write_rows(out_dir, name, rows)
+    write_summary(out_dir, name, {"command": name, **summary, "csv": csv_path})
+
+
+def write_report(out_dir: str, name: str, payload: dict):
+    """Write the JSON summary of a run without rows and print it."""
+    payload = {"command": name, **payload}
+    write_summary(out_dir, name, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def load_config(path: str | None, keys: set):
+    """The config object at path and the measure tree of its measure spec.
+
+    Besides the measure spec, the config may hold only the given keys.
+    """
+    cfg = {}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _check_keys(cfg, keys | {"measure"}, "config")
+    _require("measure" in cfg, "config needs a measure spec")
+    return cfg, build_measure(cfg["measure"])
 
 
 # The benchmark tracer wraps _parallel by name and reads fn as its second argument.
@@ -136,9 +158,11 @@ def _parallel(tasks, fn):
     return [fn(t) for t in tasks]
 
 
-def _interval_row(exp, point, j, radius, quantity, iv, meta=""):
-    point_str = "(" + " ".join(fmt(v) for v in np.atleast_1d(point)) + ")"
-    return [exp, point_str, j, fmt(radius), quantity, fmt(iv.lo), fmt(iv.hi), meta]
+def _row(point, j, radius, quantity, lo, hi, meta=""):
+    """One CSV row after its experiment column; point is a label or coordinates."""
+    if not isinstance(point, str):
+        point = "(" + " ".join(fmt(v) for v in np.atleast_1d(point)) + ")"
+    return [point, j, fmt(radius), quantity, fmt(lo), fmt(hi), meta]
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +170,7 @@ def _interval_row(exp, point, j, radius, quantity, iv, meta=""):
 
 
 def cmd_measure(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"measure", "points", "sample", "radii", "radius"}, "config")
-    _require("measure" in cfg, "config needs a measure spec")
-    tree = build_measure(cfg["measure"])
+    cfg, tree = load_config(args.config, {"points", "sample", "radii", "radius"})
     depth = args.depth or 12
     if "radii" in cfg:
         radii = cfg["radii"]
@@ -160,30 +181,24 @@ def cmd_measure(args) -> int:
     pts = sample_points(tree, cfg, args.seed, depth)
 
     def work(task):
-        idx, x, j, r = task
+        x, j, r = task
         iv = region_measure(tree, RegionQuery(ball=Ball(x, r)), depth)
-        return _interval_row("measure", x, j, r, "ball_mass", iv)
+        return _row(x, j, r, "ball_mass", iv.lo, iv.hi)
 
-    tasks = [(i, x, j, r) for i, x in enumerate(pts) for j, r in enumerate(radii)]
-    rows = _parallel(tasks, work)
-    csv_path = write_rows(args.out, "measure", rows)
-    write_summary(args.out, "measure", {
-        "command": "measure", "seed": args.seed, "depth": depth,
-        "rows": len(rows), "csv": csv_path})
+    rows = _parallel([(x, j, r) for x in pts for j, r in enumerate(radii)], work)
+    write_outputs(args.out, "measure", rows, {
+        "seed": args.seed, "depth": depth, "rows": len(rows)})
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"measure", "points", "sample", "alpha", "m", "r0",
-                      "levels", "threshold"}, "config")
-    _require("measure" in cfg, "config needs a measure spec")
+    cfg, tree = load_config(args.config, {"points", "sample", "alpha", "m", "r0",
+                                          "levels", "threshold"})
     alpha = _number(cfg, "alpha", 0.5, lambda v: 0 < v < 1, "in (0, 1)")
     r0 = float(_number(cfg, "r0", 0.25, lambda v: v > 0, "a positive number"))
     levels = _integer(cfg, "levels", 5, 1)
     c = float(_number(cfg, "threshold", 0.0, lambda v: v >= 0, "a number >= 0"))
     depth = args.depth or 12
-    tree = build_measure(cfg["measure"])
     n = tree.ambient_dim
     m = _integer(cfg, "m", 1, 0, n - 1)
     dir_net = build_direction_net(n, alpha, seed=args.seed)
@@ -195,48 +210,33 @@ def cmd_density(args) -> int:
                                        sub_net, c, depth)
 
     profiles = _parallel(pts, work)
-    rows = []
-    for x, prof in zip(pts, profiles):
-        for j, (r, ratio) in enumerate(zip(prof.radii, prof.ratios), start=1):
-            rows.append(_interval_row("density", x, j, r, "worst_cone_ratio",
-                                      ratio.enclosure,
-                                      f"cell={ratio.worst_cell}"))
-    csv_path = write_rows(args.out, "density", rows)
-    write_summary(args.out, "density", {
-        "command": "density", "seed": args.seed, "depth": depth,
+    rows = [_row(x, j, r, "worst_cone_ratio", ratio.enclosure.lo, ratio.enclosure.hi,
+                 f"cell={ratio.worst_cell}")
+            for x, prof in zip(pts, profiles)
+            for j, (r, ratio) in enumerate(zip(prof.radii, prof.ratios), start=1)]
+    write_outputs(args.out, "density", rows, {
+        "seed": args.seed, "depth": depth,
         "alpha": alpha, "m": m, "K_dir": dir_net.size, "K_sub": sub_net.size,
-        "frequencies": [prof.frequency() for prof in profiles],
-        "csv": csv_path})
+        "frequencies": [prof.frequency() for prof in profiles]})
     return EXIT_OK
 
 
 def cmd_hom(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"measure", "i", "l_max"}, "config")
-    _require("measure" in cfg, "config needs a measure spec")
-    tree = build_measure(cfg["measure"])
+    cfg, tree = load_config(args.config, {"i", "l_max"})
     _require(tree.k is not None, "hom needs a k-adic cube measure "
              "(lebesgue, binomial or constant-binomial)")
     i = _integer(cfg, "i", 1, 1, tree.k ** tree.ambient_dim)
     l_max = _integer(cfg, "l_max", 8, 1)
     est = homogeneity.hom_estimate(tree, i, l_max)
-    rows = []
-    for l, a in enumerate(est.partials, start=1):
-        rows.append(["hom", "()", l, fmt(float(tree.k) ** (-l)),
-                     f"hom_partial_i{i}", fmt(a), fmt(a), ""])
-    csv_path = write_rows(args.out, "hom", rows)
-    write_summary(args.out, "hom", {
-        "command": "hom", "i": i, "l_max": l_max,
-        "limsup_proxy": est.limsup_proxy, "csv": csv_path})
+    rows = [_row((), l, float(tree.k) ** (-l), f"hom_partial_i{i}", a, a)
+            for l, a in enumerate(est.partials, start=1)]
+    write_outputs(args.out, "hom", rows, {"i": i, "l_max": l_max,
+                                          "limsup_proxy": est.limsup_proxy})
     return EXIT_OK
 
 
 def cmd_doubling(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"measure", "points", "sample", "gamma", "k", "p", "c",
-                      "l"}, "config")
-    _require("measure" in cfg, "config needs a measure spec")
-    tree = build_measure(cfg["measure"])
+    cfg, tree = load_config(args.config, {"points", "sample", "gamma", "k", "p", "c", "l"})
     gamma = float(_number(cfg, "gamma", 1.0, lambda v: v > 0, "a positive number"))
     k = _integer(cfg, "k", 2, 2)
     l = _integer(cfg, "l", 20, 1)
@@ -252,15 +252,12 @@ def cmd_doubling(args) -> int:
         return homogeneity.doubling_frequency(tree, x, gamma, k, c, l, depth)
 
     stats = _parallel(pts, work)
-    rows = []
-    for x, st in zip(pts, stats):
-        rows.append(_interval_row("doubling", x, l, gamma, "doubling_frequency",
-                                  MeasureInterval(st.frequency, st.frequency),
-                                  f"undecided={len(st.undecided)}"))
-    csv_path = write_rows(args.out, "doubling", rows)
-    write_summary(args.out, "doubling", {
-        "command": "doubling", "seed": args.seed, "c": c, "l": l,
-        "frequencies": [st.frequency for st in stats], "csv": csv_path})
+    rows = [_row(x, l, gamma, "doubling_frequency", st.frequency, st.frequency,
+                 f"undecided={len(st.undecided)}")
+            for x, st in zip(pts, stats)]
+    write_outputs(args.out, "doubling", rows, {
+        "seed": args.seed, "c": c, "l": l,
+        "frequencies": [st.frequency for st in stats]})
     return EXIT_OK
 
 
@@ -274,8 +271,7 @@ def cmd_constants(args) -> int:
     report = density.constants_chain(args.n, args.m, args.s, args.alpha,
                                      q=args.q, seed=args.seed)
     checks = report.verify()
-    payload = {
-        "command": "constants",
+    write_report(args.out, "constants", {
         "inputs": {"n": args.n, "m": args.m, "s": args.s, "alpha": args.alpha},
         "report": {
             "t": report.t, "q": report.q, "q_verified": report.q_verified,
@@ -285,9 +281,7 @@ def cmd_constants(args) -> int:
             "c_thm3": report.c_thm3,
         },
         "checks": checks,
-    }
-    path = write_summary(args.out, "constants", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    })
     if not all(checks.values()):
         print("constant chain self-check failed", file=sys.stderr)
         return EXIT_INVARIANT
@@ -301,15 +295,12 @@ def cmd_ef(args) -> int:
     _require(args.trials >= 1, "field trials must be at least 1")
     found = search_counterexample_set(args.n, args.alpha, args.size,
                                       args.trials, args.seed)
-    payload = {
-        "command": "ef",
+    write_report(args.out, "ef", {
         "inputs": {"n": args.n, "alpha": args.alpha, "size": args.size,
                    "trials": args.trials, "seed": args.seed},
         "counterexample_found": found is not None,
         "points": [list(map(float, p)) for p in found] if found else None,
-    }
-    write_summary(args.out, "ef", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    })
     return EXIT_OK
 
 
@@ -318,18 +309,14 @@ def cmd_ef(args) -> int:
 
 
 def _verify_example_1(depth: int, seed: int):
-    if depth > 40:
-        raise ResourceGuard("example 1 depth capped at 40")
     tree = constructions.binomial_tree()
     x, _ = constructions.support_point(tree, 34, seed=seed)
     xf = float(x[0])
-    top = depth if depth >= 10 else 20
-    levels = list(range(8, top + 1))
+    levels = list(range(8, depth + 1))
     vals = [constructions.six_interval_constant(tree, xf, 2.0 ** -lev,
                                                 depth=lev + 4)
             for lev in levels]
-    rows = [["verify-example-1", f"({fmt(xf)})", lev, fmt(2.0 ** -lev),
-             "six_interval_constant", fmt(v), fmt(v), ""]
+    rows = [_row(xf, lev, 2.0 ** -lev, "six_interval_constant", v, v)
             for lev, v in zip(levels, vals)]
     decreasing = all(b <= a for a, b in zip(vals, vals[1:]))
     verdict = decreasing and vals[-1] < 0.5 * vals[0]
@@ -338,15 +325,12 @@ def _verify_example_1(depth: int, seed: int):
 
 
 def _verify_example_2(depth: int, seed: int):
-    if depth > 256:
-        raise ResourceGuard("example 2 depth capped at 256")
     alpha = 0.9
     cap = math.ceil(10.0 / alpha) + 1
-    levels = list(range(2, max(depth, 3) + 1))
+    levels = list(range(2, depth + 1))
     reports = [constructions.perpendicular_cone_hits(n, alpha) for n in levels]
-    rows = [["verify-example-2", "(branch)", rep["level"], fmt(rep["scale"]),
-             "cone_hit_count", fmt(rep["hits"]), fmt(rep["hits"]),
-             f"cap={cap}"]
+    rows = [_row("(branch)", rep["level"], rep["scale"], "cone_hit_count",
+                 rep["hits"], rep["hits"], f"cap={cap}")
             for rep in reports]
     hits = [rep["hits"] for rep in reports]
     ratios = [cap / rep["level"] for rep in reports]
@@ -356,17 +340,12 @@ def _verify_example_2(depth: int, seed: int):
 
 
 def _verify_example_3(depth: int, seed: int):
-    if depth > 8:
-        raise ResourceGuard("example 3 level count capped at 8")
-    levels = max(depth, 6)
     tree = constructions.strip_block_tree(constructions.override_schedule)
-    x, trail = constructions.support_point(tree, levels + 2, seed=seed)
+    x, trail = constructions.support_point(tree, depth + 2, seed=seed)
     reports = [constructions.horizontal_strip_ratio(tree, trail[lev], x, 0.1)
-               for lev in range(levels)]
-    rows = [["verify-example-3", "(" + " ".join(fmt(v) for v in x) + ")",
-             rep["level"], fmt(2.0 / rep["strip_count"]),
-             "horizontal_strip_ratio", fmt(rep["ratio"]), fmt(rep["bound"]),
-             f"hits={rep['hits']}"]
+               for lev in range(depth)]
+    rows = [_row(x, rep["level"], 2.0 / rep["strip_count"], "horizontal_strip_ratio",
+                 rep["ratio"], rep["bound"], f"hits={rep['hits']}")
             for rep in reports]
     ratios = [rep["ratio"] for rep in reports]
     bounded = all(rep["ratio"] <= rep["bound"] + 1e-12 for rep in reports)
@@ -378,16 +357,17 @@ def _verify_example_3(depth: int, seed: int):
 
 def cmd_verify_example(args) -> int:
     which = args.which
-    _require(which in (1, 2, 3), "example must be 1, 2 or 3")
-    depth_default = {1: 20, 2: 64, 3: 6}[which]
-    depth = args.depth or depth_default
-    runner = {1: _verify_example_1, 2: _verify_example_2, 3: _verify_example_3}
-    rows, summary = runner[which](depth, args.seed)
+    # runner, default depth and accepted depths lo..cap; a deeper run exits 4
+    run, default, lo, cap = {1: (_verify_example_1, 20, 10, 40),
+                             2: (_verify_example_2, 64, 3, 256),
+                             3: (_verify_example_3, 6, 6, 8)}[which]
+    depth = args.depth or default
+    _require(depth >= lo, f"example {which} takes a depth in {lo}..{cap}, or 0 for {default}")
+    if depth > cap:
+        raise ResourceGuard(f"example {which} depth capped at {cap}")
+    rows, summary = run(depth, args.seed)
     name = f"verify-example-{which}"
-    csv_path = write_rows(args.out, name, rows)
-    write_summary(args.out, name, {
-        "command": name, "seed": args.seed, "depth": depth,
-        **summary, "csv": csv_path})
+    write_outputs(args.out, name, rows, {"seed": args.seed, "depth": depth, **summary})
     print(json.dumps({"example": which, "verdict": summary["verdict"]}))
     return EXIT_OK if summary["verdict"] else EXIT_INVARIANT
 
@@ -401,51 +381,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified conical density experiments on hierarchical measures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, fn, text):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--threads", type=int, help="accepted and ignored; runs are serial")
         p.add_argument("--out", default="out")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("measure", help="certified ball masses")
-    common(p)
-    p.set_defaults(fn=cmd_measure)
+    add("measure", cmd_measure, "certified ball masses")
+    add("density", cmd_density, "worst-case conical density profiles")
+    add("hom", cmd_hom, "average homogeneity partial sums")
+    add("doubling", cmd_doubling, "doubling-scale frequencies")
 
-    p = sub.add_parser("density", help="worst-case conical density profiles")
-    common(p)
-    p.set_defaults(fn=cmd_density)
-
-    p = sub.add_parser("hom", help="average homogeneity partial sums")
-    common(p)
-    p.set_defaults(fn=cmd_hom)
-
-    p = sub.add_parser("doubling", help="doubling-scale frequencies")
-    common(p)
-    p.set_defaults(fn=cmd_doubling)
-
-    p = sub.add_parser("constants", help="constant dependency chain")
-    common(p)
+    p = add("constants", cmd_constants, "constant dependency chain")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-s", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--q", type=int, default=None,
                    help="pigeonhole count override for n - m >= 2")
-    p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("ef", help="cone-triple counterexample search")
-    common(p)
+    p = add("ef", cmd_ef, "cone-triple counterexample search")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--size", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(fn=cmd_ef)
 
-    p = sub.add_parser("verify-example", help="canned construction experiments")
-    common(p)
+    p = add("verify-example", cmd_verify_example, "canned construction experiments")
     p.add_argument("which", type=int, choices=(1, 2, 3))
-    p.set_defaults(fn=cmd_verify_example)
     return parser
 
 

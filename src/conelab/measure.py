@@ -201,9 +201,10 @@ class RegionQuery:
     """Query region: base ball (or box) intersected with optional cones.
 
     Semantics: base /\\ X(x, V, a_V) /\\ X+(x, theta, a_+) \\ H(x, theta_H, a_H)
-    with x the base center; omitted parts are the whole space. Directions
-    must be unit vectors and planes must share the base's dimension; every
-    opening lies in (0, 1].
+    with x the base center; omitted parts are the whole space. The center
+    must be finite, and the radius or every half-width positive and finite,
+    one half-width per coordinate. Directions must be unit vectors and planes
+    must share the base's dimension; every opening lies in (0, 1].
 
     The cones are kept as rows (plane, shape, a, excluded), each a Lipschitz
     margin of the offset d from x, positive inside the open cone:
@@ -221,9 +222,14 @@ class RegionQuery:
     def __post_init__(self):
         if (self.ball is None) == (self.box is None):
             raise ValueError("exactly one of ball or box must be given")
-        if self.ball is not None and self.ball.radius <= 0:
-            raise ValueError("query ball radius must be positive")
         n = len(self.center)
+        if not all(math.isfinite(v) for v in self.center):
+            raise ValueError("query center must have finite coordinates")
+        if self.ball is not None:
+            if not 0.0 < self.ball.radius < math.inf:
+                raise ValueError("query ball radius must be positive and finite")
+        elif len(self.box.half) != n or not all(0.0 < h < math.inf for h in self.box.half):
+            raise ValueError(f"query box needs {n} positive finite half-widths")
         for cone in (self.plane_cone, self.one_sided_cone, self.half_cone_excluded):
             if cone is not None and not 0.0 < cone[1] <= 1.0:
                 raise ValueError("cone opening alpha must lie in (0, 1]")

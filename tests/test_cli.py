@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -88,16 +89,23 @@ DOUBLING = {"measure": LEB1, "points": [[0.5]], "l": 3}
     ("hom", {"measure": {"kind": "strip-block"}}),
     ("hom", {"measure": {"kind": "binomial"}, "i": 5}),
     ("hom", {"measure": {"kind": "binomial"}, "l_max": "4"}),
+    ("measure", 5),
+    ("density", None),
+    ("hom", "abc"),
+    ("doubling", []),
 ], ids=["n-bool", "radii-number", "radii-empty", "radius-bool", "sample-string",
         "sample-0", "point-1d-on-2d", "point-string-coordinate", "levels-x",
         "levels-string", "r0-string", "alpha-bool", "alpha-1", "m-string", "l-string",
         "gamma-0", "k-1", "p-string", "c-string", "hom-rotating-ball",
-        "hom-strip-block", "hom-i-out-of-range", "l_max-string"])
+        "hom-strip-block", "hom-i-out-of-range", "l_max-string", "config-number",
+        "config-null", "config-string", "config-list"])
 def test_bad_config_field_exits_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     code = run([command, "--config", cfg, "--depth", "4", "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert isinstance(payload, dict) or "config must be a JSON object" in err
 
 
 SAMPLED = {"measure": {"measure": LEB1, "sample": 2},
@@ -119,14 +127,25 @@ CHAIN = ["constants", "-n", "3", "-m", "1", "-s", "2", "--alpha", "0.5"]
     ["constants", "-n", "2", "-m", "-1", "-s", "1", "--alpha", "0.5"],
     CHAIN + ["--q", "0"],
     CHAIN,
+    ["verify-example", "1", "--depth", "9"],
+    ["verify-example", "2", "--depth", "2"],
+    ["verify-example", "3", "--depth", "2"],
+    ["verify-example", "3", "--depth", "5"],
 ], ids=["measure-depth", "density-depth", "doubling-depth", "verify-example-depth",
         "measure-seed", "density-seed", "ef-seed", "ef-trials", "constants-alpha-1",
-        "constants-m", "constants-q-0", "constants-no-q"])
+        "constants-m", "constants-q-0", "constants-no-q", "example-1-depth-9",
+        "example-2-depth-2", "example-3-depth-2", "example-3-depth-5"])
 def test_bad_flag_exits_2(tmp_path, capsys, argv):
     if argv[0] in SAMPLED:
         argv = argv + ["--config", write_config(tmp_path, "cfg.json", SAMPLED[argv[0]])]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_verify_example_depth_error_names_the_range(tmp_path, capsys):
+    for which, depth, accepted in (("1", "9", "10..40"), ("2", "1", "3..256"), ("3", "5", "6..8")):
+        assert run(["verify-example", which, "--depth", depth, "--out", str(tmp_path)]) == 2
+        assert accepted in capsys.readouterr().err
 
 
 def test_depth_0_means_the_default(tmp_path):
@@ -209,3 +228,48 @@ def test_verify_example_3_passes(tmp_path):
 def test_verify_example_resource_guard(tmp_path):
     out = str(tmp_path / "out")
     assert run(["verify-example", "1", "--depth", "100", "--out", out]) == 4
+
+
+# Small fixed runs of every subcommand. tests/cli_golden.json holds, for each,
+# the exit code, stdout, CSV text and JSON summary (without its csv path)
+# recorded before the CLI's steps were folded into shared helpers.
+GOLDEN_RUNS = {
+    "measure": (["measure", "--depth", "6", "--seed", "5"],
+                {"measure": {"kind": "binomial"}, "sample": 2, "radii": [0.1, 0.25]}),
+    "density": (["density", "--depth", "6"], DENSITY),
+    "hom": (["hom"], {"measure": {"kind": "constant-binomial", "q": 0.25},
+                      "i": 2, "l_max": 4}),
+    "doubling": (["doubling", "--depth", "8", "--seed", "2"],
+                 {"measure": LEB1, "sample": 2, "l": 3}),
+    "constants": (["constants", "-n", "2", "-m", "0", "-s", "1.5", "--alpha", "0.9",
+                   "--q", "1"], None),
+    "ef": (["ef", "-n", "2", "--alpha", "0.1", "--trials", "50", "--seed", "1"], None),
+    "verify-example-1": (["verify-example", "1", "--depth", "10", "--seed", "8"], None),
+    "verify-example-2": (["verify-example", "2", "--depth", "5"], None),
+    "verify-example-3": (["verify-example", "3", "--depth", "6", "--seed", "3"], None),
+}
+CLI_GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def golden_outputs(tmp_path, capsys, case):
+    """Exit code, stdout and output files of one GOLDEN_RUNS case."""
+    argv, config = GOLDEN_RUNS[case]
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, "cfg.json", config)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run(argv + ["--out", str(out)])
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            files[path.name] = path.read_bytes().decode("utf-8")
+        else:
+            summary = json.loads(path.read_text(encoding="utf-8"))
+            summary.pop("csv", None)
+            files[path.name] = summary
+    return {"exit": code, "stdout": capsys.readouterr().out, "files": files}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_cli_golden(tmp_path, capsys, case):
+    assert golden_outputs(tmp_path, capsys, case) == CLI_GOLDEN[case]

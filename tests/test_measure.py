@@ -169,6 +169,26 @@ def test_query_validation():
         region_measure(tree, RegionQuery(ball=Ball(np.array([0.5]), 0.1)), -1)
 
 
+_MID = np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("base", [
+    dict(ball=Ball(_MID, math.nan)),
+    dict(ball=Ball(_MID, math.inf)),
+    dict(ball=Ball(np.array([math.nan, 0.5]), 0.2)),
+    dict(box=Box(np.array([0.5, math.inf]), np.array([0.2, 0.2]))),
+    dict(box=Box(_MID, np.array([math.nan, 0.2]))),
+    dict(box=Box(_MID, np.array([0.2]))),
+    dict(box=Box(_MID, np.array([0.2, 0.2, 0.2]))),
+    dict(box=Box(_MID, np.array([0.0, 0.2]))),
+    dict(box=Box(_MID, np.array([0.2, -0.1]))),
+], ids=["nan-radius", "inf-radius", "nan-center", "inf-box-center", "nan-half",
+        "half-shape-1", "half-shape-3", "zero-half", "negative-half"])
+def test_query_refuses_bad_base(base):
+    with pytest.raises(ValueError):
+        RegionQuery(**base)
+
+
 @pytest.mark.parametrize("n,query", [
     (2, RegionQuery(ball=Ball(np.array([0.5]), 0.2))),
     (1, RegionQuery(box=Box(np.array([0.5, 0.5]), np.array([0.2, 0.2])))),
