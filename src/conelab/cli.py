@@ -324,7 +324,7 @@ def _verify_example_1(depth: int, seed: int):
                   "verdict": verdict}
 
 
-def _verify_example_2(depth: int, seed: int):
+def _verify_example_2(depth: int, _seed: int):
     alpha = 0.9
     cap = math.ceil(10.0 / alpha) + 1
     levels = list(range(2, depth + 1))

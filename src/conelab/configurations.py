@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import in_one_sided_cone, random_unit_vectors
+from .geometry import in_one_sided_cone, random_unit_vectors, unit_vector
 
 
 @dataclass(frozen=True)
@@ -146,30 +146,39 @@ def erdos_furedi_q(dim: int, alpha: float, default: int | None = None) -> tuple:
 
 
 def check_separated_inclusion(x0, r_x: float, y0, r_y: float, theta,
-                              alpha: float, t: float, samples: int,
-                              seed: int) -> bool:
-    """Sampled verification that B(y0, r_y) sits inside the plus cone of
-    every x in B(x0, r_x).
+                              alpha: float, t: float) -> bool:
+    """Exact test that B(y0, r_y) sits inside the plus cone of every x in
+    B(x0, r_x).
 
-    Preconditions (verified, errors name the failed hypothesis):
-    the t-dilated balls are disjoint and y0 lies in the narrow cone of
-    opening alpha/t at x0.
+    The offsets y - x fill B(c, rho) with c = y0 - x0 and rho = r_x + r_y.
+    The plus cone {d : d . theta > b |d|}, b = sqrt(1 - alpha^2), has
+    half-angle sine s = sqrt((1 - b)(1 + b)), and c lies at distance
+    s (c . theta) - b |c - (c . theta) theta| from its complement; the ball
+    fits iff that exceeds rho. The margin must also beat a bound on its
+    rounding error, so that rounding can only turn True into False.
+
+    Preconditions (verified, errors name the failed hypothesis): theta is a
+    unit vector within 1e-12, the t-dilated balls are disjoint and y0 lies in
+    the narrow cone of opening alpha/t at x0.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    theta = unit_vector(theta)
     if np.linalg.norm(y0 - x0) <= t * (r_x + r_y):
         raise ValueError("precondition failed: B(x0, t r_x) and B(y0, t r_y) intersect")
     if not in_one_sided_cone(x0, theta, alpha / t, y0):
         raise ValueError("precondition failed: y0 not in the alpha/t cone at x0")
-    rng = np.random.default_rng(seed)
-    n = x0.shape[0]
-    # uniform in the balls via rejection-free radius scaling
-    ux = random_unit_vectors(n, samples, rng)
-    uy = random_unit_vectors(n, samples, rng)
-    xs = x0 + r_x * rng.uniform(size=(samples, 1)) ** (1.0 / n) * ux
-    ys = y0 + r_y * rng.uniform(size=(samples, 1)) ** (1.0 / n) * uy
-    d = ys - xs
-    lhs = d @ theta
-    rhs = math.sqrt(max(0.0, 1.0 - alpha * alpha)) * np.linalg.norm(d, axis=1)
-    return bool(np.all(lhs > rhs))
+    c = y0 - x0
+    rho = r_x + r_y
+    b = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    s = math.sqrt((1.0 - b) * (1.0 + b))
+    along = float(c @ theta)
+    dist = s * along - b * float(np.linalg.norm(c - along * theta))
+    if dist <= rho:
+        return False
+    # each step rounds by a few ulps of |c|, and a theta off the unit sphere
+    # by delta moves dist by at most (5 + 3/s) delta |c|
+    n, eps = c.shape[0], float(np.finfo(float).eps)
+    delta = abs(1.0 - float(np.linalg.norm(theta))) + n * eps
+    slack = (8 * (n + 2) * eps + (5.0 + 3.0 / s) * delta) * max(float(np.linalg.norm(c)), rho)
+    return dist - rho > slack

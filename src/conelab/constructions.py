@@ -284,8 +284,6 @@ def six_interval_constant(tree: MeasureTree, x: float, r: float,
     a_max = math.ceil((x + r) / length) - 2           # last index fully inside
     a_min = max(a_min, 0)
     a_max = min(a_max, k ** depth - 1)
-    if a_max - a_min + 1 < count:
-        return 0.0
 
     def address(a: int) -> tuple:
         digits = []
@@ -294,35 +292,21 @@ def six_interval_constant(tree: MeasureTree, x: float, r: float,
             digits.append(d)
         return tuple(reversed(digits))
 
-    indices = list(range(a_min, a_max + 1))
-    masses = [tree.node_measure(address(a)) for a in indices]
-
-    def feasible(threshold: float) -> bool:
-        picked = 0
-        last = None
-        for a, m in zip(indices, masses):
-            if m >= threshold and (last is None or a - last >= separation):
-                picked += 1
-                last = a
-                if picked >= count:
-                    return True
-        return False
-
-    levels = sorted(set(masses), reverse=True)
-    lo_i, hi_i = 0, len(levels) - 1
-    if not feasible(levels[hi_i]):
+    masses = [tree.node_measure(address(a)) for a in range(a_min, a_max + 1)]
+    # one max-min pass per pick: best[separation + i] is the largest smallest
+    # mass of c picks, pairwise at least `separation` apart, among the first
+    # i + 1 intervals; the leading entries stand for "no interval yet"
+    best = [math.inf] * (separation + len(masses))  # c = 0: the empty tuple
+    for _ in range(count):
+        row = [-math.inf] * separation
+        for i, m in enumerate(masses):
+            row.append(max(row[-1], min(m, best[i])))
+        best = row
+    if best[-1] == -math.inf:
         return 0.0
-    # binary search for the largest threshold that still admits a tuple
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if feasible(levels[mid]):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    best = levels[hi_i]
     denom = region_measure(tree, RegionQuery(ball=Ball(np.array([x]), 3.0 * r)),
                            depth_budget=depth)
-    return best / denom.hi if denom.hi > 0 else 0.0
+    return best[-1] / denom.hi if denom.hi > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

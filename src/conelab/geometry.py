@@ -35,14 +35,14 @@ def unit_vector(v):
 def in_almost_halfspace(x, theta, alpha, y) -> bool:
     """Membership of y in the almost-half-space around direction theta at x.
 
-    The condition is (y - x) . theta > alpha * |y - x|, strictly.
-    y == x always returns False.
+    The condition is (y - x) . theta > alpha * |y - x|, strictly, for a unit
+    vector theta. y == x always returns False.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     x = _as_vector(x)
     y = _as_vector(y, x.shape[0])
-    theta = _as_vector(theta, x.shape[0])
+    theta = unit_vector(_as_vector(theta, x.shape[0]))
     d = y - x
     return float(d @ theta) > alpha * float(np.linalg.norm(d))
 
@@ -118,19 +118,25 @@ def in_plane_cone(x, V: Subspace, alpha, y) -> bool:
     return V.dist(d) < alpha * float(np.linalg.norm(d))
 
 
+def _sine_distances(V: Subspace, frames: np.ndarray) -> np.ndarray:
+    """subspace_distance from V to each of the K frames stacked in
+    frames, shape (K, dim, n), from one batched SVD."""
+    if frames.shape[2] != V.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if frames.shape[1] != V.dim:
+        raise ValueError("codimension mismatch")
+    s = np.linalg.svd(V.frame @ frames.transpose(0, 2, 1), compute_uv=False)
+    smin = np.minimum(1.0, np.min(s, axis=1))
+    return np.sqrt(np.maximum(0.0, 1.0 - smin * smin))
+
+
 def subspace_distance(V: Subspace, W: Subspace) -> float:
     """Metric d(V, W) = sup over unit x in V of dist(x, W).
 
     Equals the sine of the largest principal angle between the frames;
     requires equal ambient dimension and codimension.
     """
-    if V.ambient_dim != W.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if V.codim != W.codim:
-        raise ValueError("codimension mismatch")
-    s = np.linalg.svd(V.frame @ W.frame.T, compute_uv=False)
-    smin = min(1.0, float(np.min(s)))
-    return math.sqrt(max(0.0, 1.0 - smin * smin))
+    return float(_sine_distances(V, W.frame[None])[0])
 
 
 def direction_net_beta(alpha: float) -> float:
@@ -174,6 +180,24 @@ def random_unit_vectors(n: int, count: int, rng) -> np.ndarray:
     return g / norms
 
 
+def _greedy_pack(draw, key, too_close, rejection_streak: int) -> list:
+    """Randomized greedy packing: keep each draw that is not too_close to the
+    stacked keys of the kept ones; stop after rejection_streak rejections in
+    a row."""
+    kept: list = []
+    stack = None
+    streak = 0
+    while streak < rejection_streak:
+        cand = draw()
+        if kept and too_close(cand, stack):
+            streak += 1
+        else:
+            kept.append(cand)
+            stack = np.asarray([key(c) for c in kept])
+            streak = 0
+    return kept
+
+
 def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
     """Covering net of S^{n-1} by cones H(0, theta_i, beta).
 
@@ -196,17 +220,9 @@ def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         return DirectionNet(dirs, beta, alpha)
     rng = np.random.default_rng(seed)
-    sep = 0.9 * radius
-    cos_sep = math.cos(sep)
-    kept: list[np.ndarray] = []
-    streak = 0
-    while streak < 10_000:
-        cand = random_unit_vectors(n, 1, rng)[0]
-        if kept and np.max(np.asarray(kept) @ cand) >= cos_sep:
-            streak += 1
-        else:
-            kept.append(cand)
-            streak = 0
+    cos_sep = math.cos(0.9 * radius)
+    kept = _greedy_pack(lambda: random_unit_vectors(n, 1, rng)[0], lambda u: u,
+                        lambda u, kept_dirs: np.max(kept_dirs @ u) >= cos_sep, 10_000)
     return DirectionNet(np.asarray(kept), beta, alpha)
 
 
@@ -222,14 +238,10 @@ class SubspaceNet:
         return len(self.planes)
 
     def covering_index(self, V: Subspace) -> int:
-        """Index of a net plane within alpha/2 of V, or -1 if none is."""
-        half = self.alpha / 2.0
-        best, best_d = -1, math.inf
-        for j, W in enumerate(self.planes):
-            d = subspace_distance(V, W)
-            if d < best_d:
-                best, best_d = j, d
-        return best if best_d < half else -1
+        """Index of a nearest net plane if it lies within alpha/2 of V, else -1."""
+        d = _sine_distances(V, np.asarray([W.frame for W in self.planes]))
+        j = int(np.argmin(d))
+        return j if d[j] < self.alpha / 2.0 else -1
 
 
 def random_subspace(n: int, m: int, rng) -> Subspace:
@@ -256,13 +268,7 @@ def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
         return SubspaceNet((Subspace.full(n),), alpha)
     rng = np.random.default_rng(seed)
     sep = 0.9 * alpha / 2.0
-    kept: list[Subspace] = []
-    streak = 0
-    while streak < rejection_streak:
-        cand = random_subspace(n, m, rng)
-        if kept and min(subspace_distance(cand, W) for W in kept) < sep:
-            streak += 1
-        else:
-            kept.append(cand)
-            streak = 0
+    kept = _greedy_pack(lambda: random_subspace(n, m, rng), lambda V: V.frame,
+                        lambda V, frames: np.min(_sine_distances(V, frames)) < sep,
+                        rejection_streak)
     return SubspaceNet(tuple(kept), alpha)

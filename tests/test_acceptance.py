@@ -172,14 +172,13 @@ def test_criterion_06_separated_inclusion_suite():
             d = t * (r_x + r_y) * rng.uniform(1.01, 3.0)
             psi = rng.uniform(-0.99, 0.99) * psi_max
             y0 = d * (math.cos(psi) * theta + math.sin(psi) * perp)
-            ok = check_separated_inclusion(np.zeros(2), r_x, y0, r_y, theta,
-                                           alpha, t, 1000,
-                                           seed=int(rng.integers(2 ** 32)))
+            rng.integers(2 ** 32)  # unused draw, kept so that the 3,000 configurations stay fixed
+            ok = check_separated_inclusion(np.zeros(2), r_x, y0, r_y, theta, alpha, t)
             if not ok:
                 violations += 1
     assert violations == 0
-    _report(f"criterion 06 PASS: 0 violations over 3x1000 configurations x "
-            f"1000 samples; t(0.6) = {t06:.6f}, t(1.0) = {t10:.6f}")
+    _report(f"criterion 06 PASS: 0 violations over 3x1000 configurations, "
+            f"decided exactly; t(0.6) = {t06:.6f}, t(1.0) = {t10:.6f}")
 
 
 def test_criterion_07_cone_triples():

@@ -6,7 +6,7 @@ import pytest
 from conelab.configurations import (check_separated_inclusion, compute_t,
                                     erdos_furedi_q, find_cone_triple,
                                     search_counterexample_set)
-from conelab.geometry import in_one_sided_cone
+from conelab.geometry import in_one_sided_cone, random_unit_vectors
 
 
 def test_find_cone_triple_1d_middle_point():
@@ -83,7 +83,7 @@ def test_check_separated_inclusion_collinear():
     theta = np.array([1.0, 0.0])
     t = compute_t(0.5).t
     assert check_separated_inclusion(np.zeros(2), 1.0, np.array([4.0 * t, 0.0]),
-                                     1.0, theta, 0.5, t, 2000, seed=0)
+                                     1.0, theta, 0.5, t)
 
 
 def test_check_separated_inclusion_precondition_errors():
@@ -91,7 +91,47 @@ def test_check_separated_inclusion_precondition_errors():
     t = compute_t(0.5).t
     with pytest.raises(ValueError, match="intersect"):
         check_separated_inclusion(np.zeros(2), 1.0, np.array([1.0, 0.0]),
-                                  1.0, theta, 0.5, t, 10, seed=0)
+                                  1.0, theta, 0.5, t)
     with pytest.raises(ValueError, match="cone"):
         check_separated_inclusion(np.zeros(2), 1.0, np.array([0.0, 4.0 * t]),
-                                  1.0, theta, 0.5, t, 10, seed=0)
+                                  1.0, theta, 0.5, t)
+
+
+def _sampled_inclusion(x0, r_x, y0, r_y, theta, alpha, rng, samples=20_000):
+    """Reference: boundary pairs x = x0 - r_x u, y = y0 + r_y u, whose offsets
+    y - x cover the boundary sphere of B(y0 - x0, r_x + r_y); the convex cone
+    holds that ball iff it holds the sphere."""
+    u = random_unit_vectors(len(x0), samples, rng)
+    d = (y0 + r_y * u) - (x0 - r_x * u)
+    return bool(np.all(d @ theta > math.sqrt(1.0 - alpha * alpha) * np.linalg.norm(d, axis=1)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_separated_inclusion_matches_sampled_reference(n):
+    # t in [1, 4] is far below t(alpha), so the ball pokes out of the cone in
+    # most configurations; cases within 1e-3 rho of the boundary are skipped
+    rng = np.random.default_rng(60 + n)
+    verdicts = []
+    while len(verdicts) < 1000:
+        alpha = rng.uniform(0.05, 1.0)
+        t = rng.uniform(1.0, 4.0)
+        theta = random_unit_vectors(n, 1, rng)[0]
+        side = random_unit_vectors(n, 1, rng)[0]
+        side -= (side @ theta) * theta
+        side /= np.linalg.norm(side)
+        r_x, r_y = rng.uniform(0.1, 1.0, size=2)
+        rho = r_x + r_y
+        psi = rng.uniform(0.0, 0.99) * math.asin(alpha / t)
+        c = t * rho * rng.uniform(1.01, 3.0) * (math.cos(psi) * theta + math.sin(psi) * side)
+        x0 = rng.uniform(-5.0, 5.0, size=n)
+        y0 = x0 + c
+        along = c @ theta
+        margin = (alpha * along - math.sqrt(1.0 - alpha * alpha)
+                  * np.linalg.norm(c - along * theta) - rho)
+        if abs(margin) <= 1e-3 * rho:
+            continue
+        exact = check_separated_inclusion(x0, r_x, y0, r_y, theta, alpha, t)
+        verdicts.append((exact, _sampled_inclusion(x0, r_x, y0, r_y, theta, alpha, rng)))
+    assert all(exact == sampled for exact, sampled in verdicts)
+    included = sum(exact for exact, _ in verdicts)
+    assert 0 < included < len(verdicts)

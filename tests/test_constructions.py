@@ -170,6 +170,42 @@ def test_six_interval_constant_infeasible_window():
     assert six_interval_constant(tree, 0.5, 0.01, depth=8) == 0.0
 
 
+# (tree, x, r, depth, value) recorded before the threshold search became one
+# max-min pass; the binomial centers are support_point(tree, 34, seed) for
+# seeds 0, 3 and 8, and the zeros are windows too narrow for six intervals.
+SIX_INTERVAL_TREES = {"binomial": binomial_tree, "lebesgue": lambda: lebesgue_tree(1),
+                      "constant-binomial": lambda: constant_binomial_tree(0.3),
+                      "ternary": lambda: lebesgue_tree(1, k=3)}
+SIX_INTERVAL_GOLDEN = [
+    ("binomial", 0.016601573704974726, 0.00390625, 12, 0.0027626782630939444),
+    ("binomial", 0.016601573704974726, 0.000244140625, 16, 0.0012193190815518607),
+    ("binomial", 0.016601573704974726, 1.52587890625e-05, 20, 5.065984045819848e-06),
+    ("binomial", 0.016601573704974726, 9.5367431640625e-07, 24, 2.5345421884331623e-06),
+    ("binomial", 0.12501549723674543, 0.00390625, 12, 3.327890383727948e-05),
+    ("binomial", 0.12501549723674543, 0.000244140625, 16, 0.0024533586740770534),
+    ("binomial", 0.12501549723674543, 1.52587890625e-05, 20, 0.00214749727088004),
+    ("binomial", 0.12501549723674543, 9.5367431640625e-07, 24, 0.001278923541048333),
+    ("binomial", 0.28125000002910383, 0.00390625, 12, 0.0005822981366459627),
+    ("binomial", 0.28125000002910383, 0.000244140625, 16, 1.168542245066866e-05),
+    ("binomial", 0.28125000002910383, 1.52587890625e-05, 20, 5.066173159937955e-06),
+    ("binomial", 0.28125000002910383, 9.5367431640625e-07, 24, 2.5345421892651197e-06),
+    ("lebesgue", 0.5, 0.125, 8, 0.005154639175257732),
+    ("lebesgue", 0.5, 0.01, 8, 0.0),
+    ("lebesgue", 0.3, 0.05, 9, 0.0064516129032258064),
+    ("constant-binomial", 0.37, 0.1, 8, 0.0072918364433898165),
+    ("constant-binomial", 0.81, 0.02, 10, 0.006501817293387749),
+    ("constant-binomial", 0.5, 0.004, 8, 0.0),
+    ("ternary", 0.4, 0.2, 5, 0.004115226337448559),
+    ("ternary", 0.62, 0.03, 6, 0.007575757575757573),
+    ("ternary", 0.5, 0.02, 4, 0.0),
+]
+
+
+@pytest.mark.parametrize("kind, x, r, depth, value", SIX_INTERVAL_GOLDEN)
+def test_six_interval_constant_golden(kind, x, r, depth, value):
+    assert six_interval_constant(SIX_INTERVAL_TREES[kind](), x, r, depth=depth) == value
+
+
 def test_ball_hits_plane_cone_cases():
     x = np.zeros(2)
     d = np.array([1.0, 0.0])

@@ -1,10 +1,13 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelab.configurations import check_separated_inclusion, compute_t
 from conelab.geometry import (DirectionNet, Subspace, build_direction_net,
                               build_subspace_net, direction_net_beta,
                               in_almost_halfspace, in_one_sided_cone,
@@ -58,6 +61,26 @@ def test_opposite_cones_disjoint(x, y, alpha):
     both = (in_one_sided_cone(x, theta, alpha, y)
             and in_one_sided_cone(x, -theta, alpha, y))
     assert not both
+
+
+# Each predicate must refuse a direction that is not a unit vector: with
+# theta = (2, 0) the almost-half-space of the first case would otherwise test
+# a wider cone, and y = (1, 3) would fall inside it.
+CONE_CHECKS = {
+    "in_almost_halfspace": lambda th: in_almost_halfspace(
+        np.zeros(2), th, 0.5, np.array([1.0, 3.0])),
+    "in_one_sided_cone": lambda th: in_one_sided_cone(
+        np.zeros(2), th, 0.5, np.array([1.0, 3.0])),
+    "check_separated_inclusion": lambda th: check_separated_inclusion(
+        np.zeros(2), 1.0, np.array([100.0, 0.0]), 1.0, th, 0.5, compute_t(0.5).t),
+}
+
+
+@pytest.mark.parametrize("theta", [(2.0, 0.0), (0.5, 0.0), (1.0, 1e-5), (0.0, 0.0)])
+@pytest.mark.parametrize("check", sorted(CONE_CHECKS))
+def test_cone_predicates_refuse_non_unit_direction(check, theta):
+    with pytest.raises(ValueError, match="unit vector"):
+        CONE_CHECKS[check](np.array(theta))
 
 
 def test_unit_vector_validation():
@@ -167,3 +190,41 @@ def test_net_input_validation():
         build_direction_net(2, 0.0)
     with pytest.raises(ValueError):
         build_subspace_net(2, 2, 0.5)
+    # a plane of another ambient dimension or codimension has no distance to
+    # the net's planes; a stacked product would broadcast the line's (1, 3)
+    # frame against the (2, 3) frames without complaint
+    net = build_subspace_net(3, 1, 0.9, rejection_streak=50)
+    line = Subspace(np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="ambient dimension"):
+        net.covering_index(Subspace(np.eye(4)[:2]))
+    with pytest.raises(ValueError, match="codimension"):
+        net.covering_index(line)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        subspace_distance(line, Subspace(np.array([[1.0, 0.0]])))
+    with pytest.raises(ValueError, match="codimension"):
+        subspace_distance(line, net.planes[0])
+
+
+# tests/net_golden.json holds nets recorded before the net builders shared
+# one greedy packer and one batched sine-angle kernel: the planes' frames
+# and the directions must match bit for bit.
+NET_GOLDEN = json.loads((pathlib.Path(__file__).parent / "net_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", NET_GOLDEN["subspace"],
+                         ids=lambda c: f"G{c['n']}{c['n'] - c['m']}-a{c['alpha']}-s{c['seed']}")
+def test_subspace_net_golden(case):
+    streak = case["rejection_streak"]
+    if streak is None:
+        net = build_subspace_net(case["n"], case["m"], case["alpha"], seed=case["seed"])
+    else:
+        net = build_subspace_net(case["n"], case["m"], case["alpha"], seed=case["seed"],
+                                 rejection_streak=streak)
+    assert [W.frame.tolist() for W in net.planes] == case["frames"]
+
+
+@pytest.mark.parametrize("case", NET_GOLDEN["direction"],
+                         ids=lambda c: f"S{c['n'] - 1}-a{c['alpha']}")
+def test_direction_net_golden(case):
+    net = build_direction_net(case["n"], case["alpha"], seed=case["seed"])
+    assert net.directions.tolist() == case["directions"]

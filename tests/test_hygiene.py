@@ -180,3 +180,56 @@ def test_no_unset_parameters():
                for folder in ("src", "tests", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))}
     assert unset_parameters(sources) == []
+
+
+def unread_parameters(sources: dict) -> list:
+    """(module, line, "function.parameter") of the parameters of named
+    functions and methods under src/ that the function body never reads.
+
+    self and cls, names that start with "_" and lambdas (whose signatures
+    are set by their callers) are skipped. A read inside a nested function
+    counts for the enclosing one.
+    """
+    found = []
+    for mod, src in sources.items():
+        if not mod.startswith("src/"):
+            continue
+        for fn in ast.walk(ast.parse(src)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [(mod, fn.lineno, f"{fn.name}.{a.arg}") for a in params
+                      if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                      and a.arg not in read]
+    return sorted(found)
+
+
+def test_unread_checker_flags_unread_and_keeps_read():
+    sources = {
+        "src/pkg/a.py": ("class Tree:\n"
+                         "    def walk(self, depth, stop=None):\n"
+                         "        return depth\n"
+                         "    @classmethod\n"
+                         "    def make(cls, n, _seed):\n"
+                         "        return cls()\n"
+                         "def outer(x, y, *rest, scale=1.0, **opts):\n"
+                         "    def inner(z):\n"
+                         "        return z * y\n"
+                         "    fn = lambda level, flat: 0.0\n"
+                         "    return inner(x) + len(opts) + fn(0, 0)\n"),
+        "tests/test_a.py": "def test_it(tmp_path):\n    pass\n",
+    }
+    assert unread_parameters(sources) == [("src/pkg/a.py", 2, "walk.stop"),
+                                          ("src/pkg/a.py", 5, "make.n"),
+                                          ("src/pkg/a.py", 7, "outer.rest"),
+                                          ("src/pkg/a.py", 7, "outer.scale")]
+
+
+def test_no_unread_parameters():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert unread_parameters(sources) == []
