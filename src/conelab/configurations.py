@@ -157,10 +157,15 @@ def check_separated_inclusion(x0, r_x: float, y0, r_y: float, theta,
     fits iff that exceeds rho. The margin must also beat a bound on its
     rounding error, so that rounding can only turn True into False.
 
-    Preconditions (verified, errors name the failed hypothesis): theta is a
-    unit vector within 1e-12, the t-dilated balls are disjoint and y0 lies in
-    the narrow cone of opening alpha/t at x0.
+    Preconditions (verified, errors name the failed hypothesis): alpha lies
+    in (0, 1], t is finite and positive, theta is a unit vector within 1e-12,
+    the t-dilated balls are disjoint and y0 lies in the narrow cone of
+    opening alpha/t at x0.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"precondition failed: alpha = {alpha!r} outside (0, 1]")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"precondition failed: t = {t!r} is not finite and positive")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     theta = unit_vector(theta)

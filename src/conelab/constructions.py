@@ -3,6 +3,7 @@ the strip/block measure, together with their construction constants."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,14 +312,14 @@ def six_interval_constant(tree: MeasureTree, x: float, r: float,
 
 # ---------------------------------------------------------------------------
 # Straight-line exclusion checks for the strip/block measure
+_SLOPE = math.sqrt(8.0)  # |u_x| >= |u|/3 iff |u_y| <= sqrt(8) |u_x|
 
 
 @dataclass(frozen=True)
 class CurveExclusionReport:
     level: int
-    lines_checked: int
-    vertical_checked: int
-    horizontal_checked: int
+    pairs_checked: int
+    triples_checked: int
     vertical_violations: int
     horizontal_violations: int
 
@@ -327,11 +328,29 @@ class CurveExclusionReport:
         return self.vertical_violations + self.horizontal_violations
 
 
-def _line_hits_rect(p: np.ndarray, u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Does the infinite line p + t*u meet the axis-aligned rectangle [lo, hi]?"""
-    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-    cross = (corners[:, 0] - p[0]) * u[1] - (corners[:, 1] - p[1]) * u[0]
-    return bool(cross.min() <= 0.0 <= cross.max())
+def _lines_meet(lo, hi) -> np.ndarray:
+    """Per row: does a line y = s x + b, |s| <= sqrt(8), meet all its boxes?
+
+    For s >= 0 it meets box i iff y0_i - s x1_i <= b <= y1_i - s x0_i, so iff
+    g(s) = max_ij (a_ij + m_ij s) <= 0, a_ij = y0_i - y1_j, m_ij = x0_j - x1_i.
+    min g over [0, sqrt 8] is the largest of the lower bounds that each line's
+    least end value and each falling/rising pair's crossing (a positive-weight
+    average of the two, constant in s) give. s <= 0 mirrors x.
+    """
+    # coordinate differences round by a relative u and crossings are positive
+    # averages, so margins round by under 32 eps C, C the largest coordinate
+    slack = 32.0 * float(np.finfo(float).eps) * np.abs([lo, hi]).max(initial=0.0)
+    k = lo.shape[1]
+    met = np.zeros(len(lo), dtype=bool)
+    for x0, x1 in ((lo[..., 0], hi[..., 0]), (-hi[..., 0], -lo[..., 0])):
+        a = (lo[:, :, None, 1] - hi[:, None, :, 1]).reshape(-1, k * k)
+        m = (x0[:, None, :] - x1[:, :, None]).reshape(-1, k * k)
+        ends = np.where(m >= 0.0, a, a + m * _SLOPE).max(axis=1, initial=-np.inf)
+        mk, ml, ak, al = m[:, :, None], m[:, None, :], a[:, :, None], a[:, None, :]
+        cross = (mk < 0.0) & (ml > 0.0)
+        at = np.where(cross, (ml * ak - mk * al) / np.where(cross, ml - mk, 1.0), -np.inf)
+        met |= np.maximum(ends, at.max(axis=(1, 2), initial=-np.inf)) <= slack
+    return met
 
 
 def _strips(tree: MeasureTree, addr: tuple, i: int) -> list:
@@ -352,8 +371,7 @@ def _strips(tree: MeasureTree, addr: tuple, i: int) -> list:
     return out
 
 
-def verify_curve_exclusion(tree: MeasureTree, level: int, trials: int,
-                           seed: int) -> CurveExclusionReport:
+def verify_curve_exclusion(tree: MeasureTree, level: int) -> CurveExclusionReport:
     """Straight-line proxy for the C^1-curve exclusion of the strip/block set.
 
     Steep lines (|dy| >= |d|/3) must miss the top block of a strip or the
@@ -361,6 +379,7 @@ def verify_curve_exclusion(tree: MeasureTree, level: int, trials: int,
     level-`level` node. Shallow lines (|dx| >= |d|/3) may hit at most two
     strips per level-(level+1) group. Block extents use certified support
     bounding boxes, so reported violations are conservative.
+    Every line is decided: each met pair or triple is one violation.
     """
     schedule = tree.schedule
     i_next = schedule(level + 1)
@@ -368,42 +387,22 @@ def verify_curve_exclusion(tree: MeasureTree, level: int, trials: int,
     def box(region):
         return region.center - region.half, region.center + region.half
 
-    def node_boxes(addr):
-        """(vertical-pair boxes, strip boxes) of the children of a parent node."""
-        strips = _strips(tree, addr, i_next)
-        pairs = [(box(below[-1][0]), box(above[0][0]))
-                 for (_, _, below), (_, _, above) in zip(strips, strips[1:])]
-        return pairs, [(lo, hi) for lo, hi, _ in strips]
-
     parents: list[tuple] = [()]
     for j in range(level):
         i_j = schedule(j + 1)
         parents = [addr + (c,) for addr in parents for c in range(2 * i_j ** 3)]
-    geometry = [node_boxes(addr) for addr in parents]
-
-    rng = np.random.default_rng(seed)
-    vert = horiz = vviol = hviol = 0
-    for _ in range(trials):
-        p = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)])
-        ang = rng.uniform(0.0, math.pi)
-        u = np.array([math.cos(ang), math.sin(ang)])
-        is_vertical = abs(u[1]) >= 1.0 / 3.0
-        is_horizontal = abs(u[0]) >= 1.0 / 3.0
-        if is_vertical:
-            vert += 1
-            for pairs, _ in geometry:
-                if any(_line_hits_rect(p, u, *a) and _line_hits_rect(p, u, *b)
-                       for a, b in pairs):
-                    vviol += 1
-                    break
-        if is_horizontal:
-            horiz += 1
-            for _, strips in geometry:
-                hits = sum(_line_hits_rect(p, u, lo, hi) for lo, hi in strips)
-                if hits > 2:
-                    hviol += 1
-                    break
-    return CurveExclusionReport(level, trials, vert, horiz, vviol, hviol)
+    pairs, triples = [], []
+    for addr in parents:
+        strips = _strips(tree, addr, i_next)
+        pairs += [list(zip(box(below[-1][0]), box(above[0][0])))
+                  for (_, _, below), (_, _, above) in zip(strips, strips[1:])]
+        triples += [list(zip(*(s[:2] for s in trio)))
+                    for trio in itertools.combinations(strips, 3)]
+    pairs = np.array(pairs)[..., ::-1]  # x and y swapped: steep lines become shallow
+    triples = np.array(triples, dtype=float).reshape(-1, 2, 3, 2)
+    return CurveExclusionReport(level, len(pairs), len(triples),
+                                int(_lines_meet(pairs[:, 0], pairs[:, 1]).sum()),
+                                int(_lines_meet(triples[:, 0], triples[:, 1]).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,10 @@ def doubling_frequency(tree: MeasureTree, x, gamma: float, k: int, c: float,
     """Count scales j <= l with mu(B(x, g k^-j)) >= c mu(B(x, g k^-j+1))."""
     if gamma <= 0 or l < 1:
         raise ValueError("need gamma > 0 and l >= 1")
+    if not (isinstance(k, numbers.Integral) and k >= 2):
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     x = np.asarray(x, dtype=float)
     enclosures = []
     for j in range(l + 1):  # j = 0 gives the reference ball B(x, gamma)

@@ -97,6 +97,16 @@ def test_check_separated_inclusion_precondition_errors():
                                   1.0, theta, 0.5, t)
 
 
+@pytest.mark.parametrize("alpha, t, name", [
+    (1.5, 2.0, "alpha"), (2.0, 2.0, "alpha"), (0.0, 2.0, "alpha"),
+    (-0.5, 2.0, "alpha"), (math.nan, 2.0, "alpha"),
+    (0.5, 0.0, "t"), (0.5, -2.0, "t"), (0.5, math.inf, "t"), (0.5, math.nan, "t"),
+])
+def test_check_separated_inclusion_refuses_bad_alpha_and_t(alpha, t, name):
+    with pytest.raises(ValueError, match=f"precondition failed: {name} = "):
+        check_separated_inclusion((0.0, 0.0), 1.0, (10.0, 0.0), 1.0, (1.0, 0.0), alpha, t)
+
+
 def _sampled_inclusion(x0, r_x, y0, r_y, theta, alpha, rng, samples=20_000):
     """Reference: boundary pairs x = x0 - r_x u, y = y0 + r_y u, whose offsets
     y - x cover the boundary sphere of B(y0 - x0, r_x + r_y); the convex cone

@@ -243,9 +243,9 @@ def test_horizontal_strip_ratio_bound():
 
 def test_curve_exclusion_no_violations():
     tree = strip_block_tree(override_schedule)
-    rep = verify_curve_exclusion(tree, level=1, trials=500, seed=0)
+    rep = verify_curve_exclusion(tree, level=1)
     assert rep.violations == 0
-    assert rep.vertical_checked + rep.horizontal_checked >= rep.lines_checked
+    assert rep.pairs_checked > 0 and rep.triples_checked > 0
 
 
 # Exact node geometry along a few branches. Equality pins the order of the
@@ -413,35 +413,117 @@ def test_strip_boxes_golden():
 
 def test_curve_exclusion_golden():
     tree = strip_block_tree()
-    golden = {  # (level, seed) -> (vertical, horizontal) lines checked
-        (0, 0): (153, 165),
-        (1, 0): (153, 165),
-        (0, 1): (160, 155),
-        (1, 1): (160, 155),
-        (0, 2): (158, 168),
-        (1, 2): (158, 168),
+    golden = {  # level -> (pairs, triples, pairs met, triples met)
+        0: (1, 0, 1, 0),
+        1: (32, 16, 0, 0),
+        2: (2592, 3456, 0, 0),
     }
-    for (level, seed), (vert, horiz) in golden.items():
-        rep = verify_curve_exclusion(tree, level, 200, seed)
-        assert rep == CurveExclusionReport(level, 200, vert, horiz, 0, 0), (level, seed)
+    for level, counts in golden.items():
+        assert verify_curve_exclusion(tree, level) == CurveExclusionReport(level, *counts)
+
+
+def _record_line_checks(monkeypatch):
+    """Record the boxes and verdicts of each _lines_meet call: the steep pairs
+    (x and y swapped) first, then the shallow triples."""
+    calls = []
+    lines_meet = constructions._lines_meet
+
+    def record(lo, hi):
+        met = lines_meet(lo, hi)
+        calls.append((lo, hi, met))
+        return met
+
+    monkeypatch.setattr(constructions, "_lines_meet", record)
+    return calls
 
 
 def test_curve_exclusion_pairs_top_block_with_next_bottom_block(monkeypatch):
-    """A steep line at level 0 is first tested against the top block of
-    strip 0 and the bottom block of strip 1: with I = 2 strips of 2 I^2 = 8
-    blocks each, those are children 7 and 8 of the root."""
+    """The steep-line test at level 0 is handed the top block of strip 0 and
+    the bottom block of strip 1: with I = 2 strips of 2 I^2 = 8 blocks each,
+    those are children 7 and 8 of the root."""
     tree = strip_block_tree()
     assert tree.schedule(1) == 2
-    rects = []
-
-    def record(p, u, lo, hi):
-        rects.append((tuple(map(float, lo)), tuple(map(float, hi))))
-        return True
-
-    monkeypatch.setattr(constructions, "_line_hits_rect", record)
-    rep = verify_curve_exclusion(tree, 0, 1, seed=1)
-    assert rep.vertical_checked == 1
+    calls = _record_line_checks(monkeypatch)
+    rep = verify_curve_exclusion(tree, 0)
+    assert rep.pairs_checked == 1
+    lo, hi, _ = calls[0]
+    got = [(tuple(map(float, a[::-1])), tuple(map(float, b[::-1])))
+           for a, b in zip(lo[0], hi[0])]
     kids = tree.children(())
     expect = [(tuple(map(float, r.center - r.half)), tuple(map(float, r.center + r.half)))
               for r in (kids[7][0], kids[8][0])]
-    assert rects[:2] == expect
+    assert got == expect
+
+
+def _sampled_lines(trials, seed):
+    """The lines of the random-line check that verify_curve_exclusion
+    replaced, drawn in its order: per line a point uniform in [-1, 1] x [0, 1],
+    then an angle uniform in [0, pi)."""
+    draws = np.random.default_rng(seed).uniform([-1.0, 0.0, 0.0], [1.0, 1.0, math.pi],
+                                                 size=(trials, 3))
+    return draws[:, :2], np.stack([np.cos(draws[:, 2]), np.sin(draws[:, 2])], axis=1)
+
+
+def _line_hits_boxes(p, u, lo, hi):
+    """hits[t, r]: does the line p[t] + s u[t] meet every box [lo[r, i], hi[r, i]]?
+    A line meets a rectangle iff its corners do not lie strictly on one side."""
+    corners = np.stack([lo, np.stack([lo[..., 0], hi[..., 1]], axis=-1),
+                        np.stack([hi[..., 0], lo[..., 1]], axis=-1), hi], axis=-2)
+    p, u = p[:, None, None, None, :], u[:, None, None, None, :]
+    cross = ((corners[None, ..., 0] - p[..., 0]) * u[..., 1]
+             - (corners[None, ..., 1] - p[..., 1]) * u[..., 0])
+    return ((cross.min(axis=-1) <= 0.0) & (cross.max(axis=-1) >= 0.0)).all(axis=-1)
+
+
+@pytest.mark.parametrize("level, steep_violations", [(0, 11), (1, 0)])
+def test_curve_exclusion_agrees_with_sampled_lines(monkeypatch, level, steep_violations):
+    """The 10,000-line sampler, as the reference: every sampled steep line that
+    meets both boxes of a pair, and every sampled shallow line that meets all
+    three strips of a triple, meets one that the exact check counts as met.
+    At level 0 the seed-0 lines give the 11 violations the sampled check
+    reported; at level 1 none."""
+    calls = _record_line_checks(monkeypatch)
+    verify_curve_exclusion(strip_block_tree(), level)
+    (pair_lo, pair_hi, pair_met), (tri_lo, tri_hi, tri_met) = calls
+    p, u = _sampled_lines(10_000, seed=0)
+    # the pair boxes come with x and y swapped, so swap the lines too
+    steep = (np.abs(u[:, 1]) >= 1.0 / 3.0)[:, None] & _line_hits_boxes(
+        p[:, ::-1], u[:, ::-1], pair_lo, pair_hi)
+    shallow = (np.abs(u[:, 0]) >= 1.0 / 3.0)[:, None] & _line_hits_boxes(p, u, tri_lo, tri_hi)
+    assert not (steep & ~pair_met).any()
+    assert not (shallow & ~tri_met).any()
+    assert (steep.any(axis=1).sum(), shallow.any(axis=1).sum()) == (steep_violations, 0)
+
+
+def test_lines_meet_matches_box_difference_and_slope_grid():
+    """Steep pairs against the closed form: a line with |u_y| >= |u|/3 meets
+    boxes A and B iff min |d_x| <= sqrt(8) max |d_y| over D = B - A. Shallow
+    triples against a grid of slopes, where the grid decides: some slope s
+    with max_i lo_i(s) <= min_j hi_j(s) is met, and a grid minimum above the
+    grid's Lipschitz error is not."""
+    rng = np.random.default_rng(5)
+    center = rng.uniform(-1.0, 1.0, (2000, 2, 2))
+    half = rng.uniform(0.0, 0.05, (2000, 2, 2))
+    a_lo, b_lo = (center - half).transpose(1, 0, 2)
+    a_hi, b_hi = (center + half).transpose(1, 0, 2)
+    d_lo, d_hi = b_lo - a_hi, b_hi - a_lo
+    min_dx = np.maximum(np.maximum(d_lo[:, 0], -d_hi[:, 0]), 0.0)
+    max_dy = np.maximum(np.abs(d_lo[:, 1]), np.abs(d_hi[:, 1]))
+    margin = min_dx - math.sqrt(8.0) * max_dy
+    met = constructions._lines_meet((center - half)[..., ::-1], (center + half)[..., ::-1])
+    assert (np.abs(margin) > 1e-12).all() and 100 < met.sum() < 1900
+    assert np.array_equal(met, margin <= 0.0)
+
+    center = rng.uniform(-1.0, 1.0, (400, 3, 2))
+    half = rng.uniform(0.0, 0.3, (400, 3, 2))
+    lo, hi = center - half, center + half
+    met = constructions._lines_meet(lo, hi)
+    s = np.linspace(-math.sqrt(8.0), math.sqrt(8.0), 4001)[:, None, None]
+    sx0, sx1 = s * lo[None, ..., 0], s * hi[None, ..., 0]
+    g = ((lo[None, ..., 1] - np.maximum(sx0, sx1)).max(axis=2)
+         - (hi[None, ..., 1] - np.minimum(sx0, sx1)).min(axis=2)).min(axis=0)
+    # coordinates lie in [-1.3, 1.3], so g has slopes of at most 2.6
+    step = float(s[1, 0, 0] - s[0, 0, 0])
+    assert met[g <= 0.0].all()
+    assert not met[g > 2.6 * step].any()
+    assert 50 < met.sum() < 350

@@ -106,6 +106,22 @@ def test_doubling_frequency_counts_certified_only():
     assert len(stats.undecided) > 0
 
 
+@pytest.mark.parametrize("k, c, name", [
+    (0, 0.1, "k"), (1, 0.1, "k"), (0.5, 0.1, "k"), (2.0, 0.1, "k"),
+    (2, math.nan, "c"), (2, 0.0, "c"), (2, -0.1, "c"), (2, math.inf, "c"),
+])
+def test_doubling_frequency_refuses_bad_k_and_c(k, c, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        doubling_frequency(lebesgue_tree(1), np.array([0.4]), 1.0, k, c, 3, 10)
+
+
+def test_doubling_frequency_takes_numpy_integer_k():
+    tree = lebesgue_tree(1)
+    want = doubling_frequency(tree, np.array([0.4]), 1.0, 2, 0.0625, 5, 12)
+    got = doubling_frequency(tree, np.array([0.4]), 1.0, np.int64(2), 0.0625, 5, 12)
+    assert (got.count, got.undecided) == (want.count, want.undecided)
+
+
 def test_large_child_frequency_lebesgue():
     tree = lebesgue_tree(1, k=3)
     # ordered index 3^1 - 1*3^0 = 2, tiny threshold: always counts

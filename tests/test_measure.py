@@ -55,6 +55,20 @@ def test_tree_rejects_bad_weights():
         tree.children(())
 
 
+def _two_ball_tree(child_radius):
+    def children_fn(addr, region):
+        return [(Ball(np.array([sx, 0.0]), child_radius), 0.5) for sx in (-0.5, 0.5)]
+
+    return MeasureTree(Ball(np.zeros(2), 1.0), children_fn)
+
+
+def test_tree_refuses_child_ball_escaping_its_parent():
+    with pytest.raises(ValueError, match="escapes its parent"):
+        _two_ball_tree(0.5 + 1e-6).children(())
+    # internally tangent children lie inside the closed parent ball
+    assert len(_two_ball_tree(0.5).children(())) == 2
+
+
 def test_node_and_branch_fan():
     tree = lebesgue_tree(1)
     region, mass = tree.node((0, 1))
