@@ -158,7 +158,8 @@ def check_separated_inclusion(x0, r_x: float, y0, r_y: float, theta,
     rounding error, so that rounding can only turn True into False.
 
     Preconditions (verified, errors name the failed hypothesis): alpha lies
-    in (0, 1], t is finite and positive, theta is a unit vector within 1e-12,
+    in (0, 1], t is finite and positive, r_x and r_y are finite and
+    non-negative, theta is a unit vector within 1e-12,
     the t-dilated balls are disjoint and y0 lies in the narrow cone of
     opening alpha/t at x0.
     """
@@ -166,6 +167,9 @@ def check_separated_inclusion(x0, r_x: float, y0, r_y: float, theta,
         raise ValueError(f"precondition failed: alpha = {alpha!r} outside (0, 1]")
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"precondition failed: t = {t!r} is not finite and positive")
+    for name, r in (("r_x", r_x), ("r_y", r_y)):
+        if not (math.isfinite(r) and r >= 0.0):
+            raise ValueError(f"precondition failed: {name} = {r!r} is not finite and non-negative")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     theta = unit_vector(theta)

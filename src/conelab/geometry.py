@@ -91,7 +91,8 @@ class Subspace:
 
     def dist(self, v: np.ndarray) -> float:
         """Euclidean distance from the vector v to the subspace."""
-        return float(np.linalg.norm(v - self.project(v)))
+        r = v - self.project(v)
+        return math.sqrt(r.dot(r))
 
     @staticmethod
     def full(n: int) -> "Subspace":

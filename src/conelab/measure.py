@@ -24,7 +24,8 @@ class Ball:
     radius: float
 
     def dist_bounds(self, x):
-        d = float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
+        v = np.asarray(x, dtype=float) - self.center
+        d = math.sqrt(v.dot(v))
         return max(0.0, d - self.radius), d + self.radius
 
     @property
@@ -47,11 +48,11 @@ class Box:
         gap = np.abs(np.asarray(x, dtype=float) - self.center)
         lo = np.maximum(0.0, gap - self.half)
         hi = gap + self.half
-        return float(np.linalg.norm(lo)), float(np.linalg.norm(hi))
+        return math.sqrt(lo.dot(lo)), math.sqrt(hi.dot(hi))
 
     @property
     def bounding_radius(self) -> float:
-        return float(np.linalg.norm(self.half))
+        return math.sqrt(self.half.dot(self.half))
 
 
 def cube(origin, side) -> Box:
@@ -135,8 +136,8 @@ class MeasureTree:
             raise ValueError(f"non-positive child weight at {addr}")
         if isinstance(region, Ball):
             for child, _ in kids:
-                d = float(np.linalg.norm(child.center - region.center))
-                if d + child.bounding_radius > region.radius + 1e-9:
+                v = child.center - region.center
+                if math.sqrt(v.dot(v)) + child.bounding_radius > region.radius + 1e-9:
                     raise ValueError(f"child region at {addr} escapes its parent")
         self._memo[addr] = kids
         return kids
@@ -206,10 +207,13 @@ class RegionQuery:
     one half-width per coordinate. Directions must be unit vectors and planes
     must share the base's dimension; every opening lies in (0, 1].
 
-    The cones are kept as rows (plane, shape, a, excluded), each a Lipschitz
-    margin of the offset d from x, positive inside the open cone:
+    The cones are kept as rows (plane, shape, a, excluded, vecs), each a
+    Lipschitz margin of the offset d from x, positive inside the open cone:
     a |d| - dist(d, V) for the plane cone, and d . theta - a |d| otherwise,
-    with a = sqrt(1 - alpha^2) for X+ and a = alpha for H.
+    with a = sqrt(1 - alpha^2) for X+ and a = alpha for H. vecs holds the
+    plane's frame rows, or the direction, as float tuples. floats holds the
+    center, the radius or half-widths and the rounding bound (tol, tiny) of
+    _classify, on Python floats.
     """
 
     ball: Ball | None = None
@@ -218,6 +222,7 @@ class RegionQuery:
     one_sided_cone: tuple | None = None  # (unit direction, alpha)
     half_cone_excluded: tuple | None = None  # (unit direction, alpha)
     cones: tuple = field(init=False, repr=False, compare=False)
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.ball is None) == (self.box is None):
@@ -228,8 +233,11 @@ class RegionQuery:
         if self.ball is not None:
             if not 0.0 < self.ball.radius < math.inf:
                 raise ValueError("query ball radius must be positive and finite")
-        elif len(self.box.half) != n or not all(0.0 < h < math.inf for h in self.box.half):
-            raise ValueError(f"query box needs {n} positive finite half-widths")
+            extent = float(self.ball.radius)
+        else:
+            if len(self.box.half) != n or not all(0.0 < h < math.inf for h in self.box.half):
+                raise ValueError(f"query box needs {n} positive finite half-widths")
+            extent = tuple(map(float, self.box.half))
         for cone in (self.plane_cone, self.one_sided_cone, self.half_cone_excluded):
             if cone is not None and not 0.0 < cone[1] <= 1.0:
                 raise ValueError("cone opening alpha must lie in (0, 1]")
@@ -238,7 +246,7 @@ class RegionQuery:
             V, alpha = self.plane_cone
             if V.ambient_dim != n:
                 raise ValueError(f"cone plane must lie in R^{n}")
-            cones.append((True, V, alpha, False))
+            cones.append((True, V, alpha, False, tuple(map(tuple, V.frame.tolist()))))
         for cone, excluded in ((self.one_sided_cone, False), (self.half_cone_excluded, True)):
             if cone is None:
                 continue
@@ -247,8 +255,12 @@ class RegionQuery:
             if theta.shape != (n,) or not abs(float(np.linalg.norm(theta)) - 1.0) <= 1e-12:
                 raise ValueError(f"cone direction must be a unit vector in R^{n}")
             a = alpha if excluded else math.sqrt(max(0.0, 1.0 - alpha * alpha))
-            cones.append((False, theta, a, excluded))
+            cones.append((False, theta, a, excluded, tuple(theta.tolist())))
         object.__setattr__(self, "cones", tuple(cones))
+        # In one dimension every sum in _classify has a single term, so no
+        # rounding bound is needed; see _classify for the bound itself.
+        tol, tiny = (0.0, 0.0) if n == 1 else (_ROUNDING_SLACK * (n + 2) ** 2 * _U, _TINY)
+        object.__setattr__(self, "floats", (tuple(map(float, self.center)), extent, tol, tiny))
 
     @property
     def center(self) -> np.ndarray:
@@ -256,6 +268,14 @@ class RegionQuery:
 
 
 _INSIDE, _OUTSIDE, _UNDECIDED = 1, 0, -1
+_U = 2.0 ** -53  # unit roundoff of a double
+# Python sums of squares and products, and numpy's dot (which may fuse
+# multiply-adds), each lie within about (n + 2) u of the exact value relative
+# to the summed magnitudes; a plane distance, two matrix-vector products and
+# a norm, within about (n + 2)^2 u. This factor covers both with room.
+_ROUNDING_SLACK = 8.0
+# absolute error of a norm whose squares underflow is below 2^-536
+_TINY = 2.0 ** -500
 
 
 def _classify_base(region, query: RegionQuery) -> int:
@@ -279,8 +299,9 @@ def _classify_base(region, query: RegionQuery) -> int:
     return _UNDECIDED
 
 
-def _classify(region, query: RegionQuery) -> int:
-    """Conservative three-way classification of a node region against a query.
+def _classify_reference(region, query: RegionQuery) -> int:
+    """Conservative three-way classification of a node region against a
+    query, on numpy arrays: the reference that _classify reproduces.
 
     Each cone margin is (1 + a)-Lipschitz, so over the node's bounding ball
     it stays within (1 + a) rho of its value at the node center.
@@ -290,14 +311,127 @@ def _classify(region, query: RegionQuery) -> int:
         return verdict
     rho = region.bounding_radius
     d = region.center - query.center
-    nd = float(np.linalg.norm(d))
-    for plane, shape, a, excluded in query.cones:
+    nd = math.sqrt(d.dot(d))
+    for plane, shape, a, excluded, _ in query.cones:
         value = a * nd - shape.dist(d) if plane else float(d @ shape) - a * nd
         margin = (1.0 + a) * rho
         if value > margin:
             if excluded:  # fully inside the excluded cone
                 return _OUTSIDE
         elif value <= -margin:
+            if not excluded:
+                return _OUTSIDE
+        else:
+            verdict = _UNDECIDED
+    return verdict
+
+
+def _classify(region, query: RegionQuery) -> int:
+    """The verdict of _classify_reference, computed on Python floats.
+
+    Coordinate differences, abs, max, + and single products round exactly as
+    numpy's elementwise operations do, so the box-query branch and every
+    one-dimensional query agree bit for bit. Sums of squares and dot products
+    may round differently from numpy's dot. Both lie within the query's
+    bound tol * S + tiny of the exact value, S the magnitudes of the compared
+    operands (dmax + r for a ball query, 2 |d| for a cone margin), so a
+    comparison whose sides are at least that far apart decides the same way
+    on both. A nearer one, a near tie, takes the reference verdict for the
+    node. Regions other than Box and Ball always take the reference.
+    """
+    if isinstance(region, Box):
+        ext = region.half.tolist()
+    elif isinstance(region, Ball):
+        ext = None
+    else:
+        return _classify_reference(region, query)
+    c = region.center.tolist()
+    qc, qext, tol, tiny = query.floats
+    if query.ball is not None:
+        s_lo = s_hi = 0.0
+        if ext is not None:  # Box.dist_bounds
+            for ci, h, qi in zip(c, ext, qc):
+                g = abs(qi - ci)
+                lo, hi = g - h, g + h
+                if lo > 0.0:
+                    s_lo += lo * lo
+                s_hi += hi * hi
+            dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
+        else:  # Ball.dist_bounds
+            for ci, qi in zip(c, qc):
+                g = qi - ci
+                s_hi += g * g
+            d = math.sqrt(s_hi)
+            dmin, dmax = max(0.0, d - region.radius), d + region.radius
+        e = tol * (dmax + qext) + tiny
+        t = dmax - qext
+        if not abs(t) >= e:
+            return _classify_reference(region, query)
+        if t <= 0.0:
+            verdict = _INSIDE
+        else:
+            t = dmin - qext
+            if not abs(t) >= e:
+                return _classify_reference(region, query)
+            if t > 0.0:
+                return _OUTSIDE
+            verdict = _UNDECIDED
+    else:
+        if ext is None:
+            ext = [region.bounding_radius] * len(c)
+        inside, outside = True, False
+        for ci, ei, qi, hi in zip(c, ext, qc, qext):
+            g = abs(ci - qi)
+            if not g + ei <= hi:
+                inside = False
+            if g - ei > hi:
+                outside = True
+        if inside:
+            verdict = _INSIDE
+        elif outside:
+            return _OUTSIDE
+        else:
+            verdict = _UNDECIDED
+    if not query.cones:
+        return verdict
+    rho = region.bounding_radius
+    d = [ci - qi for ci, qi in zip(c, qc)]
+    s = 0.0
+    for x in d:
+        s += x * x
+    nd = math.sqrt(s)
+    e = tol * 2.0 * nd + tiny
+    for plane, _, a, excluded, vecs in query.cones:
+        if plane:  # a |d| - |d - F^T F d|, F the frame rows
+            p = [0.0] * len(d)
+            for row in vecs:
+                pj = 0.0
+                for f, x in zip(row, d):
+                    pj += f * x
+                for i, f in enumerate(row):
+                    p[i] += f * pj
+            s = 0.0
+            for x, pi in zip(d, p):
+                x -= pi
+                s += x * x
+            value = a * nd - math.sqrt(s)
+        else:
+            dt = 0.0
+            for x, th in zip(d, vecs):
+                dt += x * th
+            value = dt - a * nd
+        margin = (1.0 + a) * rho
+        t = value - margin
+        if not abs(t) >= e:
+            return _classify_reference(region, query)
+        if t > 0.0:
+            if excluded:  # fully inside the excluded cone
+                return _OUTSIDE
+            continue
+        t = value + margin
+        if not abs(t) >= e:
+            return _classify_reference(region, query)
+        if t <= 0.0:
             if not excluded:
                 return _OUTSIDE
         else:

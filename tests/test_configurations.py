@@ -107,6 +107,19 @@ def test_check_separated_inclusion_refuses_bad_alpha_and_t(alpha, t, name):
         check_separated_inclusion((0.0, 0.0), 1.0, (10.0, 0.0), 1.0, (1.0, 0.0), alpha, t)
 
 
+@pytest.mark.parametrize("r_x, r_y, name", [
+    (-1.0, 1.0, "r_x"), (-1.0, -1.0, "r_x"), (math.nan, 1.0, "r_x"), (math.inf, 1.0, "r_x"),
+    (1.0, -1.0, "r_y"), (1.0, -math.inf, "r_y"), (1.0, math.nan, "r_y"),
+])
+def test_check_separated_inclusion_refuses_bad_radii(r_x, r_y, name):
+    with pytest.raises(ValueError, match=f"precondition failed: {name} = "):
+        check_separated_inclusion((0.0, 0.0), r_x, (10.0, 0.0), r_y, (1.0, 0.0), 0.5, 2.0)
+
+
+def test_check_separated_inclusion_takes_zero_radii():
+    assert check_separated_inclusion((0.0, 0.0), 0.0, (10.0, 0.0), 0.0, (1.0, 0.0), 0.5, 2.0)
+
+
 def _sampled_inclusion(x0, r_x, y0, r_y, theta, alpha, rng, samples=20_000):
     """Reference: boundary pairs x = x0 - r_x u, y = y0 + r_y u, whose offsets
     y - x cover the boundary sphere of B(y0 - x0, r_x + r_y); the convex cone

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conelab import measure
 from conelab.constructions import (binomial_tree, rotating_ball_tree,
                                    strip_block_tree)
-from conelab.geometry import Subspace
+from conelab.density import worst_cone_ratio
+from conelab.geometry import Subspace, build_direction_net, build_subspace_net
+from conelab.homogeneity import doubling_constant, doubling_frequency
 from conelab.measure import (Ball, Box, MeasureInterval, MeasureTree,
                              RegionQuery, address_of_point, cube,
                              kadic_tree, lebesgue_tree, region_measure)
@@ -326,3 +329,165 @@ GOLDEN_REGION_MEASURE = [
 def test_region_measure_golden(make_tree, query, depth, stop, expect):
     iv = region_measure(make_tree(), RegionQuery(**query), depth, early_stop_lo=stop)
     assert (iv.lo, iv.hi, iv.depth_used) == expect
+
+
+# ---------------------------------------------------------------------------
+# The float kernel _classify against the numpy reference _classify_reference
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_is_sqrt_of_self_dot(n):
+    # the kernel and the reference rely on this identity bit for bit
+    rng = np.random.default_rng(100 + n)
+    scales = 10.0 ** rng.integers(-30, 30, size=(4000, 1))
+    for v in rng.standard_normal((4000, n)) * scales:
+        assert np.linalg.norm(v) == math.sqrt(v.dot(v))
+
+
+def _verdicts(region, query):
+    """(kernel verdict, reference verdict, whether the kernel fell back)."""
+    reference, calls = measure._classify_reference, []
+
+    def counting(r, q):
+        calls.append(1)
+        return reference(r, q)
+
+    measure._classify_reference = counting
+    try:
+        fast = measure._classify(region, query)
+    finally:
+        measure._classify_reference = reference
+    return fast, reference(region, query), bool(calls)
+
+
+def _nudge(v, ulps):
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def _unit(pick, n):
+    v = np.array([float(pick(-3, 3)) for _ in range(n)])
+    if not v.any():
+        v[0] = 1.0
+    return v / math.sqrt(v.dot(v))
+
+
+def _near_tie_case(pick):
+    """A node region of a dyadic cube and a query whose decision sits within
+    a few ulps of its threshold: a ball radius at the node's dmin or dmax,
+    box half-widths at the node's face gaps, or a cone opening that puts a
+    margin at +-(1 + a) rho. Returns None for an opening outside (0, 1]."""
+    n, level = pick(1, 3), pick(1, 30)
+    side = 2.0 ** -level
+    region = cube([pick(0, 2 ** level - 1) * side for _ in range(n)], side)
+    if pick(0, 1):
+        region = Ball(region.center, side / pick(1, 3))
+    x = np.array([pick(0, 2 ** 20) * 2.0 ** -20 for _ in range(n)])
+    kind = pick(0, 2)
+    if kind == 0:
+        dmin, dmax = region.dist_bounds(x)
+        r = _nudge(dmax if pick(0, 1) or dmin == 0.0 else dmin, pick(-3, 3))
+        return region, RegionQuery(ball=Ball(x, r))
+    if kind == 1:
+        gap = np.abs(region.center - x)
+        ext = region.half if isinstance(region, Box) else np.full(n, region.radius)
+        half = [_nudge(g - e if pick(0, 1) and g > e else g + e, pick(-3, 3))
+                for g, e in zip(gap, ext)]
+        return region, RegionQuery(box=Box(x, np.array(half)))
+    d = region.center - x
+    nd, rho = math.sqrt(d.dot(d)), region.bounding_radius
+    theta, cone, sign = _unit(pick, n), pick(0, 2), 1 - 2 * pick(0, 1)
+    if cone == 0:  # a nd - dist(d, V) = sign (1 + a) rho
+        frame = [theta]
+        if n == 3 and pick(0, 1):
+            w = _unit(pick, n)
+            w = w - (w @ theta) * theta
+            if w.dot(w) > 0.1:
+                frame.append(w / math.sqrt(w.dot(w)))
+        V = Subspace(np.array(frame))
+        a = (V.dist(d) + sign * rho) / (nd - sign * rho) if nd != sign * rho else -1.0
+        alpha = _nudge(a, pick(-3, 3))
+        parts = dict(plane_cone=(V, alpha))
+    else:  # d . theta - a nd = sign (1 + a) rho
+        a = (d @ theta - sign * rho) / (nd + sign * rho) if nd != -sign * rho else -1.0
+        if cone == 1:
+            if not 0.0 <= a < 1.0:
+                return None
+            alpha = _nudge(math.sqrt(1.0 - a * a), pick(-3, 3))
+            parts = dict(one_sided_cone=(theta, alpha))
+        else:
+            alpha = _nudge(a, pick(-3, 3))
+            parts = dict(half_cone_excluded=(theta, alpha))
+    if not 0.0 < alpha <= 1.0:
+        return None
+    return region, RegionQuery(ball=Ball(x, 4.0), **parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_classify_matches_reference_at_near_ties(data):
+    case = _near_tie_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assume(case is not None)
+    fast, ref, _ = _verdicts(*case)
+    assert fast == ref
+
+
+def test_classify_falls_back_only_at_near_ties_in_two_or_more_dimensions():
+    rng = np.random.default_rng(7)
+    seen = {1: [0, 0], 2: [0, 0], 3: [0, 0]}  # n -> [cases, fallbacks]
+    for _ in range(3000):
+        case = _near_tie_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        if case is None:
+            continue
+        fast, ref, fell_back = _verdicts(*case)
+        assert fast == ref
+        n = len(case[1].center)
+        seen[n][0] += 1
+        seen[n][1] += fell_back
+    assert all(cases > 300 for cases, _ in seen.values())
+    assert seen[1][1] == 0  # one-dimensional sums are exact
+    assert seen[2][1] > 0 and seen[3][1] > 0
+
+
+def _check_every_node(monkeypatch):
+    """Make region_measure compare the kernel with the reference on every
+    node it classifies; returns [nodes, fallbacks]."""
+    kernel, reference = measure._classify, measure._classify_reference
+    counts = [0, 0]
+
+    def counting(region, query):
+        counts[1] += 1
+        return reference(region, query)
+
+    def checked(region, query):
+        counts[0] += 1
+        verdict = kernel(region, query)
+        assert verdict == reference(region, query)
+        return verdict
+
+    monkeypatch.setattr(measure, "_classify_reference", counting)
+    monkeypatch.setattr(measure, "_classify", checked)
+    return counts
+
+
+def test_classify_matches_reference_on_criterion_03_walks(monkeypatch):
+    counts = _check_every_node(monkeypatch)
+    tree, c = binomial_tree(), doubling_constant(1, 2, 0.9)
+    for x in tree.sample_points(3, 45, seed=3):
+        doubling_frequency(tree, x, 1.0, 2, c, 30, 45)
+    doubling_frequency(lebesgue_tree(1), np.array([0.4]), 1.0, 2, c, 30, 45)
+    assert counts[0] > 5000
+    assert counts[1] == 0
+
+
+def test_classify_matches_reference_on_cone_net_walks(monkeypatch):
+    tree = lebesgue_tree(2)
+    dir_net = build_direction_net(2, 0.5, seed=0)
+    sub_net = build_subspace_net(2, 1, 0.5, seed=0)
+    points = tree.sample_points(2, 8, seed=5)
+    counts = _check_every_node(monkeypatch)
+    worst_cone_ratio(tree, points[0], 0.07, 0.5, dir_net, sub_net, 5, compute_estimate=True)
+    worst_cone_ratio(tree, points[1], 0.035, 0.5, dir_net, sub_net, 8,
+                     compute_estimate=False, early_stop_lo=1e-6)
+    assert counts[0] > 20000
