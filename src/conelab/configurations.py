@@ -124,9 +124,13 @@ def compute_t(alpha: float) -> SeparationConstant:
     # (1-eps)/(1 + 1/t) - 1/(t+1) > beta0, i.e. t > 2 (1 + beta0) / (1 - beta0)
     t_c = 2.0 * (1.0 + beta0) / (1.0 - beta0)
     t = max(1.0, t_a, t_b, t_c) + 1e-6
-    assert math.sqrt(1.0 - (alpha / t) ** 2) >= 1.0 - eps
-    assert (1.0 - eps) * t - 1.0 > 0.0
-    assert (1.0 - eps) / (1.0 + 1.0 / t) - 1.0 / (t + 1.0) > beta0
+    for holds, inequality in (
+            (math.sqrt(1.0 - (alpha / t) ** 2) >= 1.0 - eps, "(1 - (alpha/t)^2)^(1/2) >= 1 - eps"),
+            ((1.0 - eps) * t - 1.0 > 0.0, "(1 - eps) t - 1 > 0"),
+            ((1.0 - eps) / (1.0 + 1.0 / t) - 1.0 / (t + 1.0) > beta0,
+             "(1 - eps)/(1 + 1/t) - 1/(t + 1) > beta0")):
+        if not holds:
+            raise ArithmeticError(f"t = {t!r} breaks {inequality} at alpha = {alpha!r}")
     return SeparationConstant(alpha, eps, t)
 
 

@@ -3,6 +3,7 @@ the strip/block measure, together with their construction constants."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,13 +29,13 @@ def binomial_tree(q_fn=default_binomial_schedule) -> MeasureTree:
     Every generated q_i must lie strictly in (0, 1/2).
     """
 
-    def weight(level, flat):
+    def weights(level):
         q = q_fn(level)
         if not 0.0 < q < 0.5:
             raise ValueError(f"binomial weight q_{level} = {q} outside (0, 1/2)")
-        return 1.0 - q if flat == 0 else q
+        return 1.0 - q, q
 
-    return kadic_tree(1, 2, weight)
+    return kadic_tree(1, 2, weights)
 
 
 def constant_binomial_tree(q: float) -> MeasureTree:
@@ -90,17 +91,15 @@ def rotating_ball_tree() -> MeasureTree:
     contraction maps along the branch.
     """
 
-    def children_fn(addr, region):
-        i = len(addr) + 1
-        radius = level_radius(i)
-        m_odd, m_even, shifts = _rot_level(i)
-        m_odd, m_even = region.m @ m_odd, region.m @ m_even
-        w = 1.0 / len(shifts)
-        return [(_RotBall(region.m @ t + region.center, radius,
-                          m_odd if j % 2 else m_even), w)
-                for j, t in enumerate(shifts, start=1)]
+    rot_level = functools.cache(_rot_level)
 
-    return MeasureTree(_RotBall(np.zeros(2), 1.0, np.eye(2)), children_fn)
+    def child_fn(region, i, idx):
+        m_odd, m_even, shifts = rot_level(i)
+        return _RotBall(region.m @ shifts[idx] + region.center, level_radius(i),
+                        region.m @ (m_even if idx % 2 else m_odd))  # j = idx + 1
+
+    return MeasureTree(_RotBall(np.zeros(2), 1.0, np.eye(2)),
+                       lambda i: (1.0 / (2 * i * i),) * (2 * i * i), child_fn)
 
 
 def level_ball_count(n: int) -> int:
@@ -226,28 +225,26 @@ def strip_block_tree(schedule=override_schedule) -> MeasureTree:
     half-width is the support_halfwidth bound at the node's level, so every
     node region contains its whole subtree support.
     """
-    root = _StripBox(np.array([0.0, 0.5]),
-                     np.array([support_halfwidth(schedule, 0), 0.5]), 1.0, (0.0, 0.0))
+    halfwidth = functools.cache(functools.partial(support_halfwidth, schedule))
+    root = _StripBox(np.array([0.0, 0.5]), np.array([halfwidth(0), 0.5]), 1.0, (0.0, 0.0))
 
-    def children_fn(addr, region):
-        j = len(addr) + 1
+    def weights_fn(j):
         i = schedule(j)
         c_i = strip_weight_constant(i)
-        weights = [c_i * (2.0 * i) ** (-abs(h - i * i + 0.5)) for h in range(2 * i * i)]
+        return [c_i * (2.0 * i) ** (-abs(h - i * i + 0.5)) for h in range(2 * i * i)] * i
+
+    def child_fn(region, j, idx):
+        i = schedule(j)
         sc = 1.0 / (2.0 * i ** 3)
+        k, h = divmod(idx, 2 * i * i)
         s_par, (x_par, y_par) = region.scale, region.shift
         s = s_par * sc
-        half = (support_halfwidth(schedule, j) * s, 0.5 * s)
-        out = []
-        for k in range(i):
-            x = s_par * (((-1) ** k) * i * sc) + x_par
-            for h, w in enumerate(weights):
-                y = s_par * ((2.0 * k * i * i + h) * sc) + y_par
-                out.append((_StripBox(np.array([x, y + 0.5 * s]), np.array(half),
-                                      s, (x, y)), w))
-        return out
+        x = s_par * (((-1) ** k) * i * sc) + x_par
+        y = s_par * ((2.0 * k * i * i + h) * sc) + y_par
+        return _StripBox(np.array([x, y + 0.5 * s]),
+                         np.array((halfwidth(j) * s, 0.5 * s)), s, (x, y))
 
-    tree = MeasureTree(root, children_fn)
+    tree = MeasureTree(root, weights_fn, child_fn)
     tree.schedule = schedule
     return tree
 
@@ -353,21 +350,18 @@ def _lines_meet(lo, hi) -> np.ndarray:
     return met
 
 
-def _strips(tree: MeasureTree, addr: tuple, i: int) -> list:
-    """The I = i strips of the children of the node at addr, by k index.
-
-    Each strip is (lo, hi, blocks): blocks are its 2 i^2 (region, weight)
-    children in ascending y, and [lo, hi] is the box from the first block's
-    lower corner to the last block's upper corner. Blocks of one strip share
-    their center x and half-widths, so that box spans the whole strip.
-    """
-    kids = tree.children(addr)
+def _strips(tree: MeasureTree, region, level: int) -> list:
+    """The strips below a level - 1 node with the given region, by k index:
+    per strip, the (lo, hi) corners of its first and of its last block in
+    ascending y. Blocks of one strip share their center x and half-widths, so
+    the first block's lo and the last block's hi span the whole strip."""
+    i = tree.schedule(level)
     fan = 2 * i * i
     out = []
     for k in range(i):
-        blocks = kids[k * fan:(k + 1) * fan]
-        first, last = blocks[0][0], blocks[-1][0]
-        out.append((first.center - first.half, last.center + last.half, blocks))
+        first, last = (tree.child(region, level, idx) for idx in (k * fan, (k + 1) * fan - 1))
+        out.append(((first.center - first.half, first.center + first.half),
+                    (last.center - last.half, last.center + last.half)))
     return out
 
 
@@ -381,22 +375,14 @@ def verify_curve_exclusion(tree: MeasureTree, level: int) -> CurveExclusionRepor
     bounding boxes, so reported violations are conservative.
     Every line is decided: each met pair or triple is one violation.
     """
-    schedule = tree.schedule
-    i_next = schedule(level + 1)
-
-    def box(region):
-        return region.center - region.half, region.center + region.half
-
-    parents: list[tuple] = [()]
-    for j in range(level):
-        i_j = schedule(j + 1)
-        parents = [addr + (c,) for addr in parents for c in range(2 * i_j ** 3)]
+    parents = [tree.root_region]
+    for j in range(1, level + 1):
+        parents = [tree.child(p, j, c) for p in parents for c in range(len(tree.weights(j)))]
     pairs, triples = [], []
-    for addr in parents:
-        strips = _strips(tree, addr, i_next)
-        pairs += [list(zip(box(below[-1][0]), box(above[0][0])))
-                  for (_, _, below), (_, _, above) in zip(strips, strips[1:])]
-        triples += [list(zip(*(s[:2] for s in trio)))
+    for region in parents:
+        strips = _strips(tree, region, level + 1)
+        pairs += [list(zip(below[1], above[0])) for below, above in zip(strips, strips[1:])]
+        triples += [list(zip(*((first[0], last[1]) for first, last in trio)))
                     for trio in itertools.combinations(strips, 3)]
     pairs = np.array(pairs)[..., ::-1]  # x and y swapped: steep lines become shallow
     triples = np.array(triples, dtype=float).reshape(-1, 2, 3, 2)
@@ -489,13 +475,14 @@ def horizontal_strip_ratio(tree: MeasureTree, addr: tuple, x, alpha: float) -> d
     """
     j = len(addr) + 1
     i = tree.schedule(j)
+    fan, weights = 2 * i * i, tree.weights(j)
     x = np.asarray(x, dtype=float)
     hit_mass = 0.0
     hits = 0
-    for lo, hi, blocks in _strips(tree, addr, i):
-        if _box_hits_horizontal_cone(x, alpha, lo, hi):
+    for k, (first, last) in enumerate(_strips(tree, tree.node(addr)[0], j)):
+        if _box_hits_horizontal_cone(x, alpha, first[0], last[1]):
             hits += 1
-            hit_mass += sum(w for _, w in blocks)
+            hit_mass += sum(weights[k * fan:(k + 1) * fan])
     return {"level": j, "strip_count": i, "hits": hits,
             "ratio": hit_mass, "bound": 2.0 / i}
 

@@ -33,7 +33,7 @@ def order_children(tree: MeasureTree, addr: tuple) -> OrderedFan:
     """Sort the fan at addr by mass (stable, so ties stay lexicographic)."""
     if tree.k is None:
         raise ValueError("ordered fans are defined for k-adic cube trees only")
-    _, parent_mass = tree.node(tuple(addr))
+    parent_mass = tree.node_measure(tuple(addr))
     kids = tree.children(tuple(addr))
     order = sorted(range(len(kids)), key=lambda idx: kids[idx][1])
     return OrderedFan(
@@ -63,9 +63,9 @@ def hom_estimate(tree: MeasureTree, i: int, l_max: int) -> HomEstimate:
     """Exact partial averages A_l of the order-i homogeneity, l <= l_max.
 
     A_l = (k^n / l) * sum_{j=1}^{l} S_j where S_j sums, over all level-j
-    cubes, the mass of their i-th lightest child. Every k-adic tree is
-    level-homogeneous and the masses of a level sum to 1, so S_j is the i-th
-    smallest child weight at level j, read along the leftmost branch.
+    cubes, the mass of their i-th lightest child. Child weights depend on the
+    level alone and the masses of a level sum to 1, so S_j is the i-th
+    smallest of tree.weights(j).
     """
     if tree.k is None:
         raise ValueError("hom_estimate requires a k-adic cube tree")
@@ -77,17 +77,10 @@ def hom_estimate(tree: MeasureTree, i: int, l_max: int) -> HomEstimate:
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
 
-    addr: tuple = ()
-    level_sums = [0.0] * (l_max + 1)  # level_sums[j] = S_j, 1-based
-    for j in range(1, l_max + 1):
-        weights = sorted(w for _, w in tree.children(addr))
-        level_sums[j] = weights[i - 1]
-        addr = addr + (0,)
-
     partials = []
     running = 0.0
     for l in range(1, l_max + 1):
-        running += level_sums[l]
+        running += sorted(tree.weights(l))[i - 1]
         partials.append(fan_size * running / l)
     return HomEstimate(k, n, i, tuple(partials))
 
@@ -184,12 +177,12 @@ def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
     addr = address_of_point(tree, x, l)
     hits = 0
     mass = 1.0
-    for j in range(1, l + 1):
+    region = tree.root_region
+    for j, idx in enumerate(addr, start=1):
         # child_mass is order_children(tree, addr[:j]).child(index)[1], bit for bit
-        region, w = tree.children(addr[:j - 1])[addr[j - 1]]
-        mass *= w
-        weights = sorted(cw for _, cw in tree.children(addr[:j]))
-        child_mass = mass * weights[index - 1]
+        region = tree.child(region, j, idx)
+        mass *= tree.weights(j)[idx]
+        child_mass = mass * sorted(tree.weights(j + 1))[index - 1]
         dilated = RegionQuery(box=Box(region.center, tau * region.half))
         bound = region_measure(tree, dilated, j + 10)
         if child_mass > c * bound.hi:

@@ -8,6 +8,7 @@ lies inside the query, and in `hi` unless it provably lies outside.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,28 +94,53 @@ class MeasureInterval:
 class MeasureTree:
     """Lazy weighted hierarchy representing a probability measure.
 
-    children_fn(address, region) returns the list of (region, weight) pairs
-    for the children of the node at the given address; weights are
-    conditional and must sum to one. Children are memoized per address, so
-    children_fn must be a pure function of the address.
+    Child weights depend on the level alone: weights_fn(level) gives the
+    conditional weights of the children of every node at depth level - 1,
+    so level is 1-based for the children being generated. They must be
+    positive and sum to one; each level is checked once and cached.
+    child_fn(region, level, idx) builds the idx-th child region of a node
+    with the given region. Children are memoized per address, so child_fn
+    must be a pure function of its arguments.
 
     k is the arity of a k-adic cube tree, whose nodes split into the k^n
-    subcubes enumerated row-major, or None for any other hierarchy. Only
-    kadic_tree sets k, and its weights depend on the level and child index
-    alone, so every k-adic tree is level-homogeneous: all nodes of a level
-    share their child weights. Children of a Ball region are checked to stay
-    inside it.
+    subcubes enumerated row-major, or None for any other hierarchy. Children
+    of a Ball region are checked to stay inside it.
     """
 
-    def __init__(self, root_region, children_fn, k: int | None = None):
+    def __init__(self, root_region, weights_fn, child_fn, k: int | None = None):
         self.root_region = root_region
         self.k = k
-        self._children_fn = children_fn
+        self._weights_fn = weights_fn
+        self._child_fn = child_fn
+        self._weights: dict[int, tuple] = {}
         self._memo: dict[tuple, list] = {}
 
     @property
     def ambient_dim(self) -> int:
         return self.root_region.center.shape[0]
+
+    def weights(self, level: int) -> tuple:
+        """Conditional weights of the children of every level - 1 node."""
+        got = self._weights.get(level)
+        if got is None:
+            got = tuple(self._weights_fn(level))
+            if not (abs(math.fsum(got) - 1.0) <= WEIGHT_TOL and all(w > 0.0 for w in got)):
+                raise ValueError(f"child weights at level {level} are not positive with sum 1")
+            self._weights[level] = got
+        return got
+
+    def child(self, region, level: int, idx: int):
+        """The idx-th child region of a level - 1 node with the given region."""
+        if not 0 <= idx < len(self.weights(level)):
+            raise IndexError(f"child index {idx} out of range at depth {level - 1}")
+        kid = self._child_fn(region, level, idx)
+        if isinstance(region, Ball):
+            # the distance and sums round by a few ulps of the largest coordinate
+            scale = np.abs(kid.center).max() + np.abs(region.center).max() + region.radius
+            v = kid.center - region.center
+            if math.sqrt(v.dot(v)) + kid.bounding_radius > region.radius + 8.0 * _U * scale:
+                raise ValueError(f"child {idx} at level {level} escapes its parent")
+        return kid
 
     def children(self, addr: tuple) -> list:
         """Children of the node at addr as (region, conditional weight) pairs."""
@@ -128,41 +154,34 @@ class MeasureTree:
             if not 0 <= idx < len(siblings):
                 raise IndexError(f"child index {idx} out of range at depth {len(addr) - 1}")
             region = siblings[idx][0]
-        kids = self._children_fn(addr, region)
-        total = math.fsum(w for _, w in kids)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"child weights at {addr} sum to {total}, not 1")
-        if any(w <= 0.0 for _, w in kids):
-            raise ValueError(f"non-positive child weight at {addr}")
-        if isinstance(region, Ball):
-            for child, _ in kids:
-                v = child.center - region.center
-                if math.sqrt(v.dot(v)) + child.bounding_radius > region.radius + 1e-9:
-                    raise ValueError(f"child region at {addr} escapes its parent")
+        level = len(addr) + 1
+        kids = [(self.child(region, level, i), w) for i, w in enumerate(self.weights(level))]
         self._memo[addr] = kids
         return kids
 
     def node(self, addr: tuple):
         """(region, absolute mass) of the node at addr."""
-        region, mass = self.root_region, 1.0
-        for depth, idx in enumerate(addr):
-            kids = self.children(tuple(addr[:depth]))
-            if not 0 <= idx < len(kids):
-                raise IndexError(f"child index {idx} out of range at depth {depth}")
-            region = kids[idx][0]
-            mass *= kids[idx][1]
-        return region, mass
+        region = self.root_region
+        for level, idx in enumerate(addr, start=1):
+            region = self.child(region, level, idx)
+        return region, self.node_measure(addr)
 
     def node_measure(self, addr: tuple) -> float:
         """Product of conditional weights along the path; the root has mass 1."""
-        return self.node(tuple(addr))[1]
+        mass = 1.0
+        for level, idx in enumerate(addr, start=1):
+            w = self.weights(level)
+            if not 0 <= idx < len(w):
+                raise IndexError(f"child index {idx} out of range at depth {level - 1}")
+            mass *= w[idx]
+        return mass
 
     def branch_fan(self, addr: tuple) -> list:
         """All siblings of the addressed node, with absolute masses."""
         addr = tuple(addr)
         if not addr:
             raise ValueError("the root has no siblings")
-        _, parent_mass = self.node(addr[:-1])
+        parent_mass = self.node_measure(addr[:-1])
         return [(region, parent_mass * w) for region, w in self.children(addr[:-1])]
 
     def sample_points(self, count: int, depth: int, seed: int) -> np.ndarray:
@@ -180,16 +199,12 @@ class MeasureTree:
 
         Returns the addresses visited, root first, and the final region.
         """
-        addr: tuple = ()
-        trail = [addr]
-        region = self.root_region
-        for _ in range(depth):
-            kids = self.children(addr)
-            weights = np.array([w for _, w in kids])
-            idx = int(rng.choice(len(kids), p=weights / weights.sum()))
-            region = kids[idx][0]
-            addr = addr + (idx,)
-            trail.append(addr)
+        trail, region = [()], self.root_region
+        for level in range(1, depth + 1):
+            w = np.array(self.weights(level))
+            idx = int(rng.choice(len(w), p=w / w.sum()))
+            region = self.child(region, level, idx)
+            trail.append(trail[-1] + (idx,))
         return trail, region
 
 
@@ -478,35 +493,33 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
 # k-adic cube trees
 
 
-def kadic_tree(n: int, k: int, weight_fn) -> MeasureTree:
+def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
     """k-adic cube tree on [0,1)^n.
 
-    weight_fn(level, flat_index) gives the conditional weight of the child
-    with the given lexicographic index (level is 1-based for the children
-    being generated). Children are enumerated row-major over axis indices.
+    weights_fn(level) gives the conditional weights of the k^n children of
+    every level - 1 cube, enumerated row-major over axis indices (level is
+    1-based for the children being generated).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    offsets = np.stack(np.meshgrid(*([np.arange(k)] * n), indexing="ij"),
-                       axis=-1).reshape(-1, n)
+    offsets = list(itertools.product(range(k), repeat=n))
 
-    def children_fn(addr, region):
-        level = len(addr) + 1
+    def child_fn(region, _level, idx):
+        # cube(center - half + offset * side, side) on Python floats, which
+        # round as numpy's elementwise operations do
         side = float(2.0 * region.half[0]) / k
-        origin = region.center - region.half
-        out = []
-        for flat, off in enumerate(offsets):
-            child = cube(origin + off * side, side)
-            out.append((child, weight_fn(level, flat)))
-        return out
+        h = 0.5 * side
+        return Box(np.array([c - w + o * side + h for c, w, o in
+                             zip(region.center.tolist(), region.half.tolist(), offsets[idx])]),
+                   np.array([h] * n))
 
-    return MeasureTree(cube(np.zeros(n), 1.0), children_fn, k=k)
+    return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, child_fn, k=k)
 
 
 def lebesgue_tree(n: int, k: int = 2) -> MeasureTree:
     """Uniform (Lebesgue) measure on [0,1)^n as a k-adic tree."""
-    w = float(k) ** (-n)
-    return kadic_tree(n, k, lambda level, flat: w)
+    weights = (float(k) ** (-n),) * k ** n
+    return kadic_tree(n, k, lambda level: weights)
 
 
 def address_of_point(tree: MeasureTree, x, depth: int) -> tuple:
@@ -530,13 +543,11 @@ def address_of_point(tree: MeasureTree, x, depth: int) -> tuple:
     k = tree.k
     addr: tuple = ()
     region = tree.root_region
-    for _ in range(depth):
+    for level in range(1, depth + 1):
         side = float(2.0 * region.half[0]) / k
         origin = region.center - region.half
         axis_idx = np.clip(np.floor((x - origin) / side).astype(int), 0, k - 1)
-        flat = 0
-        for a in range(n):
-            flat = flat * k + int(axis_idx[a])
+        flat = int(np.ravel_multi_index(axis_idx, (k,) * n))
         addr = addr + (flat,)
-        region = tree.children(addr[:-1])[flat][0]
+        region = tree.child(region, level, flat)
     return addr

@@ -157,6 +157,19 @@ def test_depth_0_means_the_default(tmp_path):
     assert json.loads((zero / "measure.json").read_text())["depth"] == 12
 
 
+def test_broken_separation_inequality_exits_3(tmp_path, monkeypatch, capsys):
+    from conelab import density
+
+    def broken(alpha):
+        raise ArithmeticError(f"t = 2.0 breaks (1 - eps) t - 1 > 0 at alpha = {alpha!r}")
+
+    monkeypatch.setattr(density, "compute_t", broken)
+    argv = ["constants", "-n", "2", "-m", "1", "-s", "1.5", "--alpha", "0.5", "--q", "3",
+            "--out", str(tmp_path)]
+    assert run(argv) == 3
+    assert "breaks (1 - eps) t - 1 > 0" in capsys.readouterr().err
+
+
 def test_measure_csv_deterministic_across_threads(tmp_path):
     cfg = write_config(tmp_path, "m.json", {
         "measure": {"kind": "lebesgue", "n": 1},

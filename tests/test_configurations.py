@@ -64,6 +64,22 @@ def test_compute_t_values():
         compute_t(0.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 0.005, 0.05, 0.5, 1.0])
+def test_compute_t_meets_its_inequalities_or_names_the_one_it_breaks(alpha):
+    try:
+        sep = compute_t(alpha)
+    except ArithmeticError as exc:
+        assert any(f"breaks {name} at alpha" in str(exc) for name in (
+            "(1 - (alpha/t)^2)^(1/2) >= 1 - eps", "(1 - eps) t - 1 > 0",
+            "(1 - eps)/(1 + 1/t) - 1/(t + 1) > beta0"))
+        return
+    t, eps = sep.t, sep.epsilon
+    beta0 = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    assert math.sqrt(1.0 - (alpha / t) ** 2) >= 1.0 - eps
+    assert (1.0 - eps) * t - 1.0 > 0.0
+    assert (1.0 - eps) / (1.0 + 1.0 / t) - 1.0 / (t + 1.0) > beta0
+
+
 def test_compute_t_monotone():
     grid = [0.2, 0.4, 0.6, 0.8, 1.0]
     vals = [compute_t(a).t for a in grid]

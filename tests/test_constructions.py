@@ -406,8 +406,8 @@ STRIP_BOXES_GOLDEN = {
 def test_strip_boxes_golden():
     tree = strip_block_tree()
     for addr, boxes in STRIP_BOXES_GOLDEN.items():
-        got = tuple((tuple(map(float, lo)), tuple(map(float, hi)))
-                    for lo, hi, _ in _strips(tree, addr, tree.schedule(len(addr) + 1)))
+        got = tuple((tuple(map(float, first[0])), tuple(map(float, last[1])))
+                    for first, last in _strips(tree, tree.node(addr)[0], len(addr) + 1))
         assert got == boxes, addr
 
 

@@ -90,6 +90,27 @@ def test_no_unread_module_constants():
     assert unread_constants(sources) == []
 
 
+def assert_lines(source: str) -> list:
+    """Lines of the assert statements in a module; python -O strips them."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_checker_flags_statements_only():
+    source = ("def f(x):\n"
+              "    assert x > 0, 'x'\n"
+              "    if not x:\n"
+              "        raise AssertionError('assert x')\n"
+              "    return x\n"
+              "assert f(1)\n")
+    assert assert_lines(source) == [2, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
 def _callable_name(node):
     if isinstance(node, ast.Name):
         return node.id

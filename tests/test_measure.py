@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -47,29 +49,69 @@ def test_interval_refuses_hi_below_lo():
         MeasureInterval(0.5, 0.4)
 
 
-def test_tree_rejects_bad_weights():
-    def children_fn(addr, region):
+def _halving_tree(weights_fn):
+    def child_fn(region, _level, idx):
         side = float(region.half[0])
-        origin = region.center - region.half
-        return [(cube(origin, side), 0.6), (cube(origin + side, side), 0.6)]
+        return cube(region.center - region.half + idx * side, side)
 
-    tree = MeasureTree(cube(np.zeros(1), 1.0), children_fn)
-    with pytest.raises(ValueError):
-        tree.children(())
+    return MeasureTree(cube(np.zeros(1), 1.0), weights_fn, child_fn)
 
 
-def _two_ball_tree(child_radius):
-    def children_fn(addr, region):
-        return [(Ball(np.array([sx, 0.0]), child_radius), 0.5) for sx in (-0.5, 0.5)]
+def test_tree_rejects_bad_weights():
+    for weights in [(0.6, 0.6), (0.5, 0.5, 0.0), (1.5, -0.5), (math.nan, 1.0), ()]:
+        tree = _halving_tree(lambda level: weights)
+        for call in (lambda: tree.weights(1), lambda: tree.children(()),
+                     lambda: tree.node((0,)), lambda: tree.sample_points(1, 1, seed=0)):
+            with pytest.raises(ValueError):
+                call()
 
-    return MeasureTree(Ball(np.zeros(2), 1.0), children_fn)
+
+def test_weights_are_checked_once_per_level():
+    calls = []
+
+    def weights_fn(level):
+        calls.append(level)
+        return (0.25, 0.75)
+
+    tree = _halving_tree(weights_fn)
+    tree.sample_points(20, 3, seed=0)
+    region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 3)
+    assert tree.weights(2) == (0.25, 0.75)
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_one_child_walks_build_one_child_per_level():
+    built = []
+
+    def child_fn(region, level, idx):
+        built.append(level)
+        side = float(region.half[0])
+        return cube(region.center - region.half + idx * side, side)
+
+    tree = MeasureTree(cube(np.zeros(1), 1.0), lambda level: (0.5, 0.5), child_fn, k=2)
+    tree.sample_points(20, 3, seed=0)
+    assert built == [1, 2, 3] * 20
+    del built[:]
+    tree.node((1, 0, 1, 1))
+    address_of_point(tree, [0.3], 5)
+    assert built == [1, 2, 3, 4, 1, 2, 3, 4, 5]
+
+
+def _two_ball_tree(child_radius, parent_radius=1.0):
+    def child_fn(region, _level, idx):
+        offset = (idx - 0.5) * parent_radius
+        return Ball(region.center + np.array([offset, 0.0]), child_radius)
+
+    return MeasureTree(Ball(np.zeros(2), parent_radius), lambda level: (0.5, 0.5), child_fn)
 
 
 def test_tree_refuses_child_ball_escaping_its_parent():
-    with pytest.raises(ValueError, match="escapes its parent"):
-        _two_ball_tree(0.5 + 1e-6).children(())
-    # internally tangent children lie inside the closed parent ball
-    assert len(_two_ball_tree(0.5).children(())) == 2
+    # 3.1e-10 is about the level-7 rotating-ball radius R_7
+    for parent_radius, escape in [(1.0, 1e-6), (3.1e-10, 1e-10)]:
+        with pytest.raises(ValueError, match="escapes its parent"):
+            _two_ball_tree(0.5 * parent_radius + escape, parent_radius).children(())
+        # internally tangent children lie inside the closed parent ball
+        assert len(_two_ball_tree(0.5 * parent_radius, parent_radius).children(())) == 2
 
 
 def test_node_and_branch_fan():
@@ -229,12 +271,12 @@ def test_ball_only_query_does_no_cone_work():
         def bounding_radius(self):
             raise AssertionError("ball-only queries need no bounding radius")
 
-    def children_fn(addr, region):
+    def child_fn(region, _level, idx):
         h = 0.5 * float(region.half[0])
-        return [(NoRadiusBox(region.center + off, np.array([h])), 0.5)
-                for off in (-h, h)]
+        return NoRadiusBox(region.center + (2 * idx - 1) * h, np.array([h]))
 
-    tree = MeasureTree(NoRadiusBox(np.array([0.5]), np.array([0.5])), children_fn)
+    tree = MeasureTree(NoRadiusBox(np.array([0.5]), np.array([0.5])),
+                       lambda level: (0.5, 0.5), child_fn)
     iv = region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 12)
     assert iv.contains(0.2) and iv.width < 1e-3
 
@@ -329,6 +371,41 @@ GOLDEN_REGION_MEASURE = [
 def test_region_measure_golden(make_tree, query, depth, stop, expect):
     iv = region_measure(make_tree(), RegionQuery(**query), depth, early_stop_lo=stop)
     assert (iv.lo, iv.hi, iv.depth_used) == expect
+
+
+# tests/sampling_golden.json holds sampled points, node regions and masses,
+# and addresses of points, recorded while every tree built whole fans of
+# children to draw, locate or address one; one-child walks must reproduce
+# them bit for bit.
+SAMPLING_GOLDEN = json.loads((pathlib.Path(__file__).parent
+                              / "sampling_golden.json").read_text())
+GOLDEN_TREES = {"lebesgue-2d": lambda: lebesgue_tree(2), "binomial": binomial_tree,
+                "rotating-ball": rotating_ball_tree, "strip-block": strip_block_tree,
+                "lebesgue-2d-k3": lambda: lebesgue_tree(2, k=3)}
+
+
+@pytest.mark.parametrize("name", SAMPLING_GOLDEN["sample_points"])
+def test_sample_points_golden(name):
+    case = SAMPLING_GOLDEN["sample_points"][name]
+    pts = GOLDEN_TREES[name]().sample_points(case["count"], case["depth"], seed=case["seed"])
+    assert [tuple(map(float, p)) for p in pts] == [tuple(p) for p in case["points"]]
+
+
+@pytest.mark.parametrize("name", GOLDEN_TREES)
+def test_node_golden(name):
+    tree = GOLDEN_TREES[name]()
+    for case in SAMPLING_GOLDEN["node"][name]:
+        region, mass = tree.node(tuple(case["addr"]))
+        extent = region.radius if isinstance(region, Ball) else list(map(float, region.half))
+        assert (tuple(map(float, region.center)), extent, mass) == (
+            tuple(case["center"]), case["extent"], case["mass"]), case["addr"]
+        assert tree.node_measure(tuple(case["addr"])) == case["mass"]
+
+
+def test_address_of_point_golden():
+    tree = lebesgue_tree(2, k=3)
+    for case in SAMPLING_GOLDEN["address_of_point"]:
+        assert address_of_point(tree, case["x"], 3) == tuple(case["addr"]), case["x"]
 
 
 # ---------------------------------------------------------------------------
