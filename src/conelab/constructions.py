@@ -75,7 +75,7 @@ def _rot_level(i: int):
     return m_odd, m_even, shifts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _RotBall(Ball):
     """Rotating-ball node: m is the linear part of the composed contraction
     along its branch, whose translation is the center."""
@@ -205,7 +205,7 @@ def override_schedule(j: int) -> int:
     return j + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _StripBox(Box):
     """Strip/block node box carrying its composed map z -> scale z + shift."""
 

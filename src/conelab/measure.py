@@ -8,8 +8,10 @@ lies inside the query, and in `hi` unless it provably lies outside.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ball:
     """Closed ball."""
 
@@ -34,7 +36,7 @@ class Ball:
         return self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box given by its center and per-axis half-widths.
 
@@ -91,6 +93,50 @@ class MeasureInterval:
         return self.lo <= value <= self.hi
 
 
+class _Shape:
+    """Extent of a Box or Ball node on Python floats: ext is the half-widths
+    as a tuple (Box) or the radius (Ball), and rho the region's bounding
+    radius once a cone or box query needed it. Siblings of one region type
+    with equal extents share one _Shape, and so their bounding radius."""
+
+    __slots__ = ("ext", "rho")
+
+    def __init__(self, ext):
+        self.ext = ext
+        self.rho = None
+
+
+class _Node:
+    """Record of one node of a tree, kept for the life of the tree.
+
+    region is the node's region, kids its child records once the node was
+    first expanded. For Box and Ball regions, c is the center as a float
+    tuple and shape the node's _Shape; any other region has neither and is
+    classified by the numpy reference. qc, dmin and dmax are the distance
+    bounds from the node to qc, the last ball-query center it was
+    classified against.
+    """
+
+    __slots__ = ("region", "c", "shape", "kids", "qc", "dmin", "dmax")
+
+    def __init__(self, region, sibling: _Node | None = None):
+        self.region = region
+        self.kids = self.qc = self.dmin = self.dmax = None
+        if isinstance(region, Box):
+            ext = tuple(region.half.tolist())
+        elif isinstance(region, Ball):
+            ext = float(region.radius)
+        else:
+            self.c = self.shape = None
+            return
+        self.c = tuple(region.center.tolist())
+        if (sibling is not None and type(sibling.region) is type(region)
+                and sibling.shape.ext == ext):
+            self.shape = sibling.shape
+        else:
+            self.shape = _Shape(ext)
+
+
 class MeasureTree:
     """Lazy weighted hierarchy representing a probability measure.
 
@@ -99,8 +145,11 @@ class MeasureTree:
     so level is 1-based for the children being generated. They must be
     positive and sum to one; each level is checked once and cached.
     child_fn(region, level, idx) builds the idx-th child region of a node
-    with the given region. Children are memoized per address, so child_fn
-    must be a pure function of its arguments.
+    with the given region. Walks keep the nodes they expand as _Node
+    records, each with its child records, so child_fn must be a pure
+    function of its arguments. A record also caches its distance bounds
+    to the last ball-query center, so one tree must not be walked from two
+    threads at once.
 
     k is the arity of a k-adic cube tree, whose nodes split into the k^n
     subcubes enumerated row-major, or None for any other hierarchy. Children
@@ -113,7 +162,8 @@ class MeasureTree:
         self._weights_fn = weights_fn
         self._child_fn = child_fn
         self._weights: dict[int, tuple] = {}
-        self._memo: dict[tuple, list] = {}
+        self._cdfs: dict[int, list] = {}
+        self._root = _Node(root_region)
 
     @property
     def ambient_dim(self) -> int:
@@ -142,22 +192,28 @@ class MeasureTree:
                 raise ValueError(f"child {idx} at level {level} escapes its parent")
         return kid
 
+    def _kids(self, node: _Node, level: int) -> list:
+        """Child records of a level - 1 node, built on its first expansion."""
+        kids = node.kids
+        if kids is None:
+            kids, kid = [], None
+            for i in range(len(self.weights(level))):
+                kid = _Node(self.child(node.region, level, i), kid)
+                kids.append(kid)
+            node.kids = kids
+        return kids
+
     def children(self, addr: tuple) -> list:
         """Children of the node at addr as (region, conditional weight) pairs."""
         addr = tuple(addr)
-        got = self._memo.get(addr)
-        if got is not None:
-            return got
-        region = self.root_region
-        if addr:
-            siblings, idx = self.children(addr[:-1]), addr[-1]
-            if not 0 <= idx < len(siblings):
-                raise IndexError(f"child index {idx} out of range at depth {len(addr) - 1}")
-            region = siblings[idx][0]
+        node = self._root
+        for level, idx in enumerate(addr, start=1):
+            kids = self._kids(node, level)
+            if not 0 <= idx < len(kids):
+                raise IndexError(f"child index {idx} out of range at depth {level - 1}")
+            node = kids[idx]
         level = len(addr) + 1
-        kids = [(self.child(region, level, i), w) for i, w in enumerate(self.weights(level))]
-        self._memo[addr] = kids
-        return kids
+        return [(kid.region, w) for kid, w in zip(self._kids(node, level), self.weights(level))]
 
     def node(self, addr: tuple):
         """(region, absolute mass) of the node at addr."""
@@ -201,11 +257,22 @@ class MeasureTree:
         """
         trail, region = [()], self.root_region
         for level in range(1, depth + 1):
-            w = np.array(self.weights(level))
-            idx = int(rng.choice(len(w), p=w / w.sum()))
+            idx = bisect_right(self._cdf(level), rng.random())
             region = self.child(region, level, idx)
             trail.append(trail[-1] + (idx,))
         return trail, region
+
+    def _cdf(self, level: int) -> list:
+        """Cumulative child probabilities of a level, built and rounded as
+        Generator.choice builds them, so that bisecting it at rng.random()
+        draws the index that rng.choice(len(w), p=w / w.sum()) draws."""
+        cdf = self._cdfs.get(level)
+        if cdf is None:
+            w = np.array(self.weights(level))
+            cdf = np.cumsum(w / w.sum())
+            cdf /= cdf[-1]
+            cdf = self._cdfs[level] = cdf.tolist()
+        return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +408,9 @@ def _classify_reference(region, query: RegionQuery) -> int:
     return verdict
 
 
-def _classify(region, query: RegionQuery) -> int:
-    """The verdict of _classify_reference, computed on Python floats.
+def _classify(node: _Node, query: RegionQuery) -> int:
+    """The verdict of _classify_reference for a node record, computed on
+    Python floats.
 
     Coordinate differences, abs, max, + and single products round exactly as
     numpy's elementwise operations do, so the box-query branch and every
@@ -353,47 +421,57 @@ def _classify(region, query: RegionQuery) -> int:
     comparison whose sides are at least that far apart decides the same way
     on both. A nearer one, a near tie, takes the reference verdict for the
     node. Regions other than Box and Ball always take the reference.
+
+    A ball query reuses the node's distance bounds when its center equals
+    the node's last ball-query center, and otherwise stores the new ones:
+    the walks of one worst_cone_ratio, or of one doubling_frequency, share
+    their center. Centers that compare equal give equal bounds, also where
+    a coordinate is 0.0 in one and -0.0 in the other. The bounding radius
+    is computed once a cone or a box query needs it.
     """
-    if isinstance(region, Box):
-        ext = region.half.tolist()
-    elif isinstance(region, Ball):
-        ext = None
-    else:
-        return _classify_reference(region, query)
-    c = region.center.tolist()
+    shape = node.shape
+    if shape is None:
+        return _classify_reference(node.region, query)
+    c, ext = node.c, shape.ext
     qc, qext, tol, tiny = query.floats
     if query.ball is not None:
-        s_lo = s_hi = 0.0
-        if ext is not None:  # Box.dist_bounds
-            for ci, h, qi in zip(c, ext, qc):
-                g = abs(qi - ci)
-                lo, hi = g - h, g + h
-                if lo > 0.0:
-                    s_lo += lo * lo
-                s_hi += hi * hi
-            dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
-        else:  # Ball.dist_bounds
-            for ci, qi in zip(c, qc):
-                g = qi - ci
-                s_hi += g * g
-            d = math.sqrt(s_hi)
-            dmin, dmax = max(0.0, d - region.radius), d + region.radius
+        if node.qc == qc:
+            dmin, dmax = node.dmin, node.dmax
+        else:
+            s_lo = s_hi = 0.0
+            if isinstance(ext, tuple):  # Box.dist_bounds
+                for ci, h, qi in zip(c, ext, qc):
+                    g = abs(qi - ci)
+                    lo, hi = g - h, g + h
+                    if lo > 0.0:
+                        s_lo += lo * lo
+                    s_hi += hi * hi
+                dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
+            else:  # Ball.dist_bounds
+                for ci, qi in zip(c, qc):
+                    g = qi - ci
+                    s_hi += g * g
+                d = math.sqrt(s_hi)
+                dmin, dmax = max(0.0, d - ext), d + ext
+            node.qc, node.dmin, node.dmax = qc, dmin, dmax
         e = tol * (dmax + qext) + tiny
         t = dmax - qext
         if not abs(t) >= e:
-            return _classify_reference(region, query)
+            return _classify_reference(node.region, query)
         if t <= 0.0:
             verdict = _INSIDE
         else:
             t = dmin - qext
             if not abs(t) >= e:
-                return _classify_reference(region, query)
+                return _classify_reference(node.region, query)
             if t > 0.0:
                 return _OUTSIDE
             verdict = _UNDECIDED
     else:
-        if ext is None:
-            ext = [region.bounding_radius] * len(c)
+        if not isinstance(ext, tuple):
+            if shape.rho is None:
+                shape.rho = node.region.bounding_radius
+            ext = [shape.rho] * len(c)
         inside, outside = True, False
         for ci, ei, qi, hi in zip(c, ext, qc, qext):
             g = abs(ci - qi)
@@ -409,7 +487,9 @@ def _classify(region, query: RegionQuery) -> int:
             verdict = _UNDECIDED
     if not query.cones:
         return verdict
-    rho = region.bounding_radius
+    rho = shape.rho
+    if rho is None:
+        rho = shape.rho = node.region.bounding_radius
     d = [ci - qi for ci, qi in zip(c, qc)]
     s = 0.0
     for x in d:
@@ -438,14 +518,14 @@ def _classify(region, query: RegionQuery) -> int:
         margin = (1.0 + a) * rho
         t = value - margin
         if not abs(t) >= e:
-            return _classify_reference(region, query)
+            return _classify_reference(node.region, query)
         if t > 0.0:
             if excluded:  # fully inside the excluded cone
                 return _OUTSIDE
             continue
         t = value + margin
         if not abs(t) >= e:
-            return _classify_reference(region, query)
+            return _classify_reference(node.region, query)
         if t <= 0.0:
             if not excluded:
                 return _OUTSIDE
@@ -469,23 +549,24 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
     lo = 0.0
     hi = 0.0
     depth_used = 0
-    stack = [((), tree.root_region, 1.0, 0)]
+    stack = [(tree._root, 1.0, 0)]
     while stack:
-        addr, region, mass, depth = stack.pop()
+        node, mass, depth = stack.pop()
         depth_used = max(depth_used, depth)
-        verdict = _classify(region, query)
+        verdict = _classify(node, query)
         if verdict == _INSIDE:
             lo += mass
             hi += mass
             if early_stop_lo is not None and lo > early_stop_lo:
-                hi += math.fsum(m for _, _, m, _ in stack)
+                hi += math.fsum(m for _, m, _ in stack)
                 break
         elif verdict == _UNDECIDED:
             if depth >= depth_budget:
                 hi += mass
             else:
-                for idx, (child, w) in enumerate(tree.children(addr)):
-                    stack.append((addr + (idx,), child, mass * w, depth + 1))
+                level = depth + 1
+                for kid, w in zip(tree._kids(node, level), tree.weights(level)):
+                    stack.append((kid, mass * w, level))
     return MeasureInterval(lo, hi, depth_used)
 
 
@@ -498,11 +579,18 @@ def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
 
     weights_fn(level) gives the conditional weights of the k^n children of
     every level - 1 cube, enumerated row-major over axis indices (level is
-    1-based for the children being generated).
+    1-based for the children being generated). Every cube of one side
+    shares one read-only half-width array.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     offsets = list(itertools.product(range(k), repeat=n))
+
+    @functools.cache
+    def shared_half(h):
+        half = np.array([h] * n)
+        half.flags.writeable = False
+        return half
 
     def child_fn(region, _level, idx):
         # cube(center - half + offset * side, side) on Python floats, which
@@ -511,7 +599,7 @@ def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
         h = 0.5 * side
         return Box(np.array([c - w + o * side + h for c, w, o in
                              zip(region.center.tolist(), region.half.tolist(), offsets[idx])]),
-                   np.array([h] * n))
+                   shared_half(h))
 
     return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, child_fn, k=k)
 

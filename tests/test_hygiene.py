@@ -1,8 +1,11 @@
-"""Static checks on the package sources, in place of an external linter."""
+"""Static checks on the package sources, in place of an external linter,
+and a check that the pytest configuration reports failing tests as failures."""
 
 import ast
 import math
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -254,3 +257,27 @@ def test_no_unread_parameters():
     sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert unread_parameters(sources) == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_always_fails(x):
+    assert x != x
+"""
+
+
+def test_failing_hypothesis_test_is_a_failure_not_an_internal_error(tmp_path):
+    # With filterwarnings = error, a warning raised while hypothesis reports
+    # a failure (it may import libcst, which warns about mypy_extensions)
+    # used to stop the session with INTERNALERROR, exit code 3.
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "1 failed" in proc.stdout

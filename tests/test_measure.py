@@ -136,7 +136,9 @@ def test_out_of_range_child_index_raises():
 
 def test_children_memoized_identity():
     tree = lebesgue_tree(2)
-    assert tree.children((0,)) is tree.children((0,))
+    first, again = tree.children((0,)), tree.children((0,))
+    assert len(first) == 4
+    assert all(a[0] is b[0] and a[1] == b[1] for a, b in zip(first, again))
 
 
 def test_address_of_point_roundtrip():
@@ -408,6 +410,23 @@ def test_address_of_point_golden():
         assert address_of_point(tree, case["x"], 3) == tuple(case["addr"]), case["x"]
 
 
+@pytest.mark.parametrize("name", GOLDEN_TREES)
+def test_sample_branch_draws_as_rng_choice(name):
+    # sample_branch bisects a cached cumulative sum; rng.choice with p
+    # validates p and builds the same sum on every draw
+    tree = GOLDEN_TREES[name]()
+    depth = SAMPLING_GOLDEN["sample_points"].get(name, {"depth": 4})["depth"]
+    fast, slow = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(300):
+        trail, _ = tree.sample_branch(fast, depth)
+        drawn = []
+        for level in range(1, depth + 1):
+            w = np.array(tree.weights(level))
+            drawn.append(int(slow.choice(len(w), p=w / w.sum())))
+        assert trail[-1] == tuple(drawn)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # The float kernel _classify against the numpy reference _classify_reference
 
@@ -421,8 +440,9 @@ def test_norm_is_sqrt_of_self_dot(n):
         assert np.linalg.norm(v) == math.sqrt(v.dot(v))
 
 
-def _verdicts(region, query):
-    """(kernel verdict, reference verdict, whether the kernel fell back)."""
+def _verdicts(node, query):
+    """(kernel verdict, reference verdict, whether the kernel fell back) for
+    a node record."""
     reference, calls = measure._classify_reference, []
 
     def counting(r, q):
@@ -431,10 +451,10 @@ def _verdicts(region, query):
 
     measure._classify_reference = counting
     try:
-        fast = measure._classify(region, query)
+        fast = measure._classify(node, query)
     finally:
         measure._classify_reference = reference
-    return fast, reference(region, query), bool(calls)
+    return fast, reference(node.region, query), bool(calls)
 
 
 def _nudge(v, ulps):
@@ -506,7 +526,7 @@ def _near_tie_case(pick):
 def test_classify_matches_reference_at_near_ties(data):
     case = _near_tie_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
     assume(case is not None)
-    fast, ref, _ = _verdicts(*case)
+    fast, ref, _ = _verdicts(measure._Node(case[0]), case[1])
     assert fast == ref
 
 
@@ -517,7 +537,7 @@ def test_classify_falls_back_only_at_near_ties_in_two_or_more_dimensions():
         case = _near_tie_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
         if case is None:
             continue
-        fast, ref, fell_back = _verdicts(*case)
+        fast, ref, fell_back = _verdicts(measure._Node(case[0]), case[1])
         assert fast == ref
         n = len(case[1].center)
         seen[n][0] += 1
@@ -537,10 +557,10 @@ def _check_every_node(monkeypatch):
         counts[1] += 1
         return reference(region, query)
 
-    def checked(region, query):
+    def checked(node, query):
         counts[0] += 1
-        verdict = kernel(region, query)
-        assert verdict == reference(region, query)
+        verdict = kernel(node, query)
+        assert verdict == reference(node.region, query)
         return verdict
 
     monkeypatch.setattr(measure, "_classify_reference", counting)
@@ -568,3 +588,93 @@ def test_classify_matches_reference_on_cone_net_walks(monkeypatch):
     worst_cone_ratio(tree, points[1], 0.035, 0.5, dir_net, sub_net, 8,
                      compute_estimate=False, early_stop_lo=1e-6)
     assert counts[0] > 20000
+
+
+# ---------------------------------------------------------------------------
+# The distance bounds that a node record keeps for its last ball-query center
+
+
+def _records(tree, depth):
+    """The tree's node records down to depth, expanding every node."""
+    nodes = frontier = [tree._root]
+    for level in range(1, depth + 1):
+        frontier = [kid for node in frontier for kid in tree._kids(node, level)]
+        nodes = nodes + frontier
+    return nodes
+
+
+@pytest.mark.parametrize("n,depth", [(1, 6), (2, 4), (3, 3)])
+def test_center_cache_matches_reference_as_queries_alternate(n, depth):
+    rng = np.random.default_rng(60 + n)
+    boxes = _records(lebesgue_tree(n), depth)
+    balls = [measure._Node(Ball(node.region.center, node.region.bounding_radius))
+             for node in boxes]
+    records = boxes + balls
+    a = rng.integers(1, 2 ** 12, size=n) * 2.0 ** -12
+    one_ulp = a.copy()
+    one_ulp[0] = math.nextafter(a[0], 1.0)
+    far = rng.integers(1, 2 ** 12, size=n) * 2.0 ** -12
+    zero, negative_zero = a.copy(), a.copy()
+    zero[-1], negative_zero[-1] = 0.0, -0.0
+    centers = [a, one_ulp, zero, negative_zero, far]
+    for step in range(40):
+        x = centers[step % 5]
+        # thresholds from another center's bounds: a stale cache decides
+        # these nodes wrongly
+        other = centers[(step + 1 + step // 5) % 5]
+        region = records[int(rng.integers(len(boxes)))].region
+        kind = step % 4
+        if kind == 1:
+            half = np.abs(region.center - other) + region.half
+            query = RegionQuery(box=Box(x, half))
+        else:
+            dmin, dmax = region.dist_bounds(other)
+            r = dmax if step % 3 or dmin == 0.0 else dmin
+            theta = _unit(lambda lo, hi: int(rng.integers(lo, hi + 1)), n)
+            cone = [{}, {}, dict(one_sided_cone=(theta, 0.5)),
+                    dict(half_cone_excluded=(theta, 0.5)),
+                    dict(plane_cone=(Subspace(theta[None, :]), 0.5))][step % 5]
+            query = RegionQuery(ball=Ball(x, r), **cone)
+        for node in records:
+            assert measure._classify(node, query) == \
+                measure._classify_reference(node.region, query), (step, node.region)
+            if query.ball is not None:
+                assert node.qc == tuple(x)
+
+
+def test_interleaved_queries_on_one_tree_match_fresh_trees():
+    x = np.array([0.4375, 0.5625])
+    x_ulp = np.array([math.nextafter(0.4375, 1.0), 0.5625])
+    theta = np.array([0.6, 0.8])
+    line = Subspace(np.array([[0.8, -0.6]]))
+    plane_queries = [
+        RegionQuery(ball=Ball(x, 0.125)),
+        RegionQuery(ball=Ball(x_ulp, 0.125)),
+        RegionQuery(box=Box(x, np.array([0.1, 0.2]))),
+        RegionQuery(ball=Ball(x, 0.25), one_sided_cone=(theta, 0.5)),
+        RegionQuery(ball=Ball(x, 0.125), plane_cone=(line, 0.5),
+                    half_cone_excluded=(theta, 0.5)),
+        RegionQuery(ball=Ball(x_ulp, 0.3)),
+        RegionQuery(ball=Ball(np.array([-0.0, 0.5]), 0.25)),
+        RegionQuery(ball=Ball(np.array([0.0, 0.5]), 0.25), half_cone_excluded=(theta, 0.5)),
+        RegionQuery(ball=Ball(x, 0.125)),
+    ]
+    y = np.array([0.3])
+    line_queries = [RegionQuery(ball=Ball(y, 0.1)), RegionQuery(ball=Ball(y, 0.05)),
+                    RegionQuery(box=Box(y, np.array([0.07]))),
+                    RegionQuery(ball=Ball(np.array([0.7]), 0.1)),
+                    RegionQuery(ball=Ball(y, 0.1), one_sided_cone=(np.array([-1.0]), 0.5)),
+                    RegionQuery(ball=Ball(y, 0.1))]
+    ball_queries = [RegionQuery(ball=Ball(np.array([0.1, 0.0]), 0.6)),
+                    RegionQuery(ball=Ball(np.array([0.1, 0.0]), 0.6),
+                                half_cone_excluded=(theta, 0.5)),
+                    RegionQuery(box=Box(np.array([-0.2, 0.1]), np.array([0.5, 0.3]))),
+                    RegionQuery(ball=Ball(np.array([0.1, 0.0]), 0.3))]
+    for make, queries, depth in [(lambda: lebesgue_tree(2), plane_queries, 8),
+                                 (binomial_tree, line_queries, 20),
+                                 (rotating_ball_tree, ball_queries, 3)]:
+        shared = make()
+        for early_stop in (None, 0.01):
+            for query in queries:
+                assert region_measure(shared, query, depth, early_stop) == \
+                    region_measure(make(), query, depth, early_stop), query
