@@ -15,7 +15,7 @@ import numpy as np
 from . import constructions, density, homogeneity
 from .configurations import search_counterexample_set
 from .geometry import build_direction_net, build_subspace_net
-from .measure import Ball, RegionQuery, lebesgue_tree, region_measure
+from .measure import Ball, RegionQuery, ResourceGuard, lebesgue_tree, region_measure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,10 +27,6 @@ CSV_COLUMNS = ["experiment", "point", "scale_index", "radius", "quantity",
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ResourceGuard(Exception):
     pass
 
 

@@ -11,12 +11,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 WEIGHT_TOL = 1e-12
+
+
+class ResourceGuard(Exception):
+    """A computation would go past what its inputs can resolve or afford."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,10 +99,10 @@ class MeasureInterval:
 
 
 class _Shape:
-    """Extent of a Box or Ball node on Python floats: ext is the half-widths
-    as a tuple (Box) or the radius (Ball), and rho the region's bounding
-    radius once a cone or box query needed it. Siblings of one region type
-    with equal extents share one _Shape, and so their bounding radius."""
+    """Extent of a Box node on Python floats: ext is its half-widths as a
+    tuple, and rho its bounding radius once a cone query needed it.
+    Siblings with equal half-widths share one _Shape, and so their bounding
+    radius."""
 
     __slots__ = ("ext", "rho")
 
@@ -110,11 +115,10 @@ class _Node:
     """Record of one node of a tree, kept for the life of the tree.
 
     region is the node's region, kids its child records once the node was
-    first expanded. For Box and Ball regions, c is the center as a float
-    tuple and shape the node's _Shape; any other region has neither and is
-    classified by the numpy reference. qc, dmin and dmax are the distance
-    bounds from the node to qc, the last ball-query center it was
-    classified against.
+    first expanded. For a Box region, c is the center as a float tuple and
+    shape the node's _Shape; any other region has neither and is classified
+    by the numpy reference. qc, dmin and dmax are the distance bounds from
+    a Box node to qc, the last ball-query center it was classified against.
     """
 
     __slots__ = ("region", "c", "shape", "kids", "qc", "dmin", "dmax")
@@ -122,13 +126,10 @@ class _Node:
     def __init__(self, region, sibling: _Node | None = None):
         self.region = region
         self.kids = self.qc = self.dmin = self.dmax = None
-        if isinstance(region, Box):
-            ext = tuple(region.half.tolist())
-        elif isinstance(region, Ball):
-            ext = float(region.radius)
-        else:
+        if not isinstance(region, Box):
             self.c = self.shape = None
             return
+        ext = tuple(region.half.tolist())
         self.c = tuple(region.center.tolist())
         if (sibling is not None and type(sibling.region) is type(region)
                 and sibling.shape.ext == ext):
@@ -153,7 +154,8 @@ class MeasureTree:
 
     k is the arity of a k-adic cube tree, whose nodes split into the k^n
     subcubes enumerated row-major, or None for any other hierarchy. Children
-    of a Ball region are checked to stay inside it.
+    of a Ball region are checked to stay inside it, and raise ResourceGuard
+    once their radius is within the rounding of their coordinates.
     """
 
     def __init__(self, root_region, weights_fn, child_fn, k: int | None = None):
@@ -187,6 +189,9 @@ class MeasureTree:
         if isinstance(region, Ball):
             # the distance and sums round by a few ulps of the largest coordinate
             scale = np.abs(kid.center).max() + np.abs(region.center).max() + region.radius
+            if kid.bounding_radius <= 8.0 * _U * scale:
+                raise ResourceGuard(f"child {idx} at level {level} has a radius below "
+                                    "the resolution of its coordinates")
             v = kid.center - region.center
             if math.sqrt(v.dot(v)) + kid.bounding_radius > region.radius + 8.0 * _U * scale:
                 raise ValueError(f"child {idx} at level {level} escapes its parent")
@@ -285,17 +290,18 @@ class RegionQuery:
 
     Semantics: base /\\ X(x, V, a_V) /\\ X+(x, theta, a_+) \\ H(x, theta_H, a_H)
     with x the base center; omitted parts are the whole space. The center
-    must be finite, and the radius or every half-width positive and finite,
-    one half-width per coordinate. Directions must be unit vectors and planes
-    must share the base's dimension; every opening lies in (0, 1].
+    must be a non-empty finite vector, and the radius or every half-width
+    positive and finite, one half-width per coordinate. Directions must be
+    unit vectors and planes must share the base's dimension; every opening
+    lies in (0, 1].
 
     The cones are kept as rows (plane, shape, a, excluded, vecs), each a
     Lipschitz margin of the offset d from x, positive inside the open cone:
     a |d| - dist(d, V) for the plane cone, and d . theta - a |d| otherwise,
     with a = sqrt(1 - alpha^2) for X+ and a = alpha for H. vecs holds the
-    plane's frame rows, or the direction, as float tuples. floats holds the
-    center, the radius or half-widths and the rounding bound (tol, tiny) of
-    _classify, on Python floats.
+    plane's frame rows, or the direction, as float tuples. For a ball query,
+    floats holds the center, the radius and the rounding bound (tol, tiny)
+    of _classify, on Python floats; a box query leaves it unset.
     """
 
     ball: Ball | None = None
@@ -309,17 +315,17 @@ class RegionQuery:
     def __post_init__(self):
         if (self.ball is None) == (self.box is None):
             raise ValueError("exactly one of ball or box must be given")
-        n = len(self.center)
+        shape = np.shape(self.center)
+        if len(shape) != 1 or not shape[0]:
+            raise ValueError("query center must be a non-empty vector")
+        n = shape[0]
         if not all(math.isfinite(v) for v in self.center):
             raise ValueError("query center must have finite coordinates")
         if self.ball is not None:
             if not 0.0 < self.ball.radius < math.inf:
                 raise ValueError("query ball radius must be positive and finite")
-            extent = float(self.ball.radius)
-        else:
-            if len(self.box.half) != n or not all(0.0 < h < math.inf for h in self.box.half):
-                raise ValueError(f"query box needs {n} positive finite half-widths")
-            extent = tuple(map(float, self.box.half))
+        elif np.shape(self.box.half) != (n,) or not all(0.0 < h < math.inf for h in self.box.half):
+            raise ValueError(f"query box needs {n} positive finite half-widths")
         for cone in (self.plane_cone, self.one_sided_cone, self.half_cone_excluded):
             if cone is not None and not 0.0 < cone[1] <= 1.0:
                 raise ValueError("cone opening alpha must lie in (0, 1]")
@@ -339,10 +345,12 @@ class RegionQuery:
             a = alpha if excluded else math.sqrt(max(0.0, 1.0 - alpha * alpha))
             cones.append((False, theta, a, excluded, tuple(theta.tolist())))
         object.__setattr__(self, "cones", tuple(cones))
-        # In one dimension every sum in _classify has a single term, so no
-        # rounding bound is needed; see _classify for the bound itself.
-        tol, tiny = (0.0, 0.0) if n == 1 else (_ROUNDING_SLACK * (n + 2) ** 2 * _U, _TINY)
-        object.__setattr__(self, "floats", (tuple(map(float, self.center)), extent, tol, tiny))
+        if self.ball is not None:
+            # In one dimension every sum in _classify has a single term, so no
+            # rounding bound is needed; see _classify for the bound itself.
+            tol, tiny = (0.0, 0.0) if n == 1 else (_ROUNDING_SLACK * (n + 2) ** 2 * _U, _TINY)
+            object.__setattr__(self, "floats", (tuple(map(float, self.center)),
+                                                float(self.ball.radius), tol, tiny))
 
     @property
     def center(self) -> np.ndarray:
@@ -410,81 +418,55 @@ def _classify_reference(region, query: RegionQuery) -> int:
 
 def _classify(node: _Node, query: RegionQuery) -> int:
     """The verdict of _classify_reference for a node record, computed on
-    Python floats.
+    Python floats for a Box node under a ball query, the pair that walks on
+    k-adic trees classify; any other node or query takes the reference.
 
     Coordinate differences, abs, max, + and single products round exactly as
-    numpy's elementwise operations do, so the box-query branch and every
-    one-dimensional query agree bit for bit. Sums of squares and dot products
-    may round differently from numpy's dot. Both lie within the query's
-    bound tol * S + tiny of the exact value, S the magnitudes of the compared
-    operands (dmax + r for a ball query, 2 |d| for a cone margin), so a
-    comparison whose sides are at least that far apart decides the same way
-    on both. A nearer one, a near tie, takes the reference verdict for the
-    node. Regions other than Box and Ball always take the reference.
+    numpy's elementwise operations do, so every one-dimensional query agrees
+    bit for bit. Sums of squares and dot products may round differently
+    from numpy's dot. Both lie within the query's bound tol * S + tiny of
+    the exact value, S the magnitudes of the compared operands (dmax + r for
+    the ball, 2 |d| for a cone margin), so a comparison whose sides are at
+    least that far apart decides the same way on both. A nearer one, a near
+    tie, takes the reference verdict for the node.
 
-    A ball query reuses the node's distance bounds when its center equals
-    the node's last ball-query center, and otherwise stores the new ones:
-    the walks of one worst_cone_ratio, or of one doubling_frequency, share
-    their center. Centers that compare equal give equal bounds, also where
-    a coordinate is 0.0 in one and -0.0 in the other. The bounding radius
-    is computed once a cone or a box query needs it.
+    The node's distance bounds are reused when the query center equals the
+    node's last ball-query center, and otherwise stored: the walks of one
+    worst_cone_ratio, or of one doubling_frequency, share their center.
+    Centers that compare equal give equal bounds, also where a coordinate
+    is 0.0 in one and -0.0 in the other. The bounding radius is computed
+    once a cone query needs it.
     """
     shape = node.shape
-    if shape is None:
+    if shape is None or query.ball is None:
         return _classify_reference(node.region, query)
     c, ext = node.c, shape.ext
     qc, qext, tol, tiny = query.floats
-    if query.ball is not None:
-        if node.qc == qc:
-            dmin, dmax = node.dmin, node.dmax
-        else:
-            s_lo = s_hi = 0.0
-            if isinstance(ext, tuple):  # Box.dist_bounds
-                for ci, h, qi in zip(c, ext, qc):
-                    g = abs(qi - ci)
-                    lo, hi = g - h, g + h
-                    if lo > 0.0:
-                        s_lo += lo * lo
-                    s_hi += hi * hi
-                dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
-            else:  # Ball.dist_bounds
-                for ci, qi in zip(c, qc):
-                    g = qi - ci
-                    s_hi += g * g
-                d = math.sqrt(s_hi)
-                dmin, dmax = max(0.0, d - ext), d + ext
-            node.qc, node.dmin, node.dmax = qc, dmin, dmax
-        e = tol * (dmax + qext) + tiny
-        t = dmax - qext
+    if node.qc == qc:
+        dmin, dmax = node.dmin, node.dmax
+    else:  # Box.dist_bounds
+        s_lo = s_hi = 0.0
+        for ci, h, qi in zip(c, ext, qc):
+            g = abs(qi - ci)
+            lo, hi = g - h, g + h
+            if lo > 0.0:
+                s_lo += lo * lo
+            s_hi += hi * hi
+        dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
+        node.qc, node.dmin, node.dmax = qc, dmin, dmax
+    e = tol * (dmax + qext) + tiny
+    t = dmax - qext
+    if not abs(t) >= e:
+        return _classify_reference(node.region, query)
+    if t <= 0.0:
+        verdict = _INSIDE
+    else:
+        t = dmin - qext
         if not abs(t) >= e:
             return _classify_reference(node.region, query)
-        if t <= 0.0:
-            verdict = _INSIDE
-        else:
-            t = dmin - qext
-            if not abs(t) >= e:
-                return _classify_reference(node.region, query)
-            if t > 0.0:
-                return _OUTSIDE
-            verdict = _UNDECIDED
-    else:
-        if not isinstance(ext, tuple):
-            if shape.rho is None:
-                shape.rho = node.region.bounding_radius
-            ext = [shape.rho] * len(c)
-        inside, outside = True, False
-        for ci, ei, qi, hi in zip(c, ext, qc, qext):
-            g = abs(ci - qi)
-            if not g + ei <= hi:
-                inside = False
-            if g - ei > hi:
-                outside = True
-        if inside:
-            verdict = _INSIDE
-        elif outside:
+        if t > 0.0:
             return _OUTSIDE
-        else:
-            verdict = _UNDECIDED
+        verdict = _UNDECIDED
     if not query.cones:
         return verdict
     rho = shape.rho
@@ -542,8 +524,8 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
     early_stop_lo is given, refinement stops once lo exceeds it; the
     remaining undecided mass is folded into `hi`, keeping the enclosure sound.
     """
-    if depth_budget < 0:
-        raise ValueError("depth_budget must be non-negative")
+    if not isinstance(depth_budget, numbers.Integral) or depth_budget < 0:
+        raise ValueError("depth_budget must be a non-negative integer")
     if len(query.center) != tree.ambient_dim:
         raise ValueError("query and tree differ in dimension")
     lo = 0.0

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from conelab import cli, measure
 from conelab.cli import main
 
 
@@ -241,6 +242,16 @@ def test_verify_example_3_passes(tmp_path):
 def test_verify_example_resource_guard(tmp_path):
     out = str(tmp_path / "out")
     assert run(["verify-example", "1", "--depth", "100", "--out", out]) == 4
+
+
+def test_measure_exits_4_below_rotating_ball_resolution(tmp_path):
+    assert cli.ResourceGuard is measure.ResourceGuard
+    cfg = write_config(tmp_path, "rb.json", {"measure": {"kind": "rotating-ball"},
+                                             "sample": 2, "radius": 0.001})
+    out = str(tmp_path / "out")
+    assert run(["measure", "--config", cfg, "--depth", "9", "--out", out]) == 0
+    # the default depth 12 needs radii from level 10 on, R_10 ~ 7.4e-17
+    assert run(["measure", "--config", cfg, "--out", out]) == 4
 
 
 # Small fixed runs of every subcommand. tests/cli_golden.json holds, for each,

@@ -21,7 +21,7 @@ from conelab.constructions import (CurveExclusionReport, ScheduleConstants,
                                    verify_curve_exclusion)
 from conelab.homogeneity import (hom_estimate, large_child_frequency,
                                  order_children)
-from conelab.measure import address_of_point, lebesgue_tree
+from conelab.measure import ResourceGuard, address_of_point, lebesgue_tree
 
 
 def test_binomial_weights():
@@ -67,6 +67,16 @@ def test_rotating_ball_children_stay_inside_parent():
         for child, _ in tree.children(addr):
             d = float(np.linalg.norm(child.center - region.center))
             assert d + child.radius <= region.radius + 1e-9
+
+
+def test_rotating_ball_tree_refuses_radii_below_coordinate_resolution():
+    # R_9 ~ 1.5e-14 is some 11 or more rounding bounds of the coordinates;
+    # R_10 ~ 7.4e-17 is about one ulp of them
+    tree = rotating_ball_tree()
+    region, _ = tree.node((0,) * 9)
+    assert region.radius == level_radius(9)
+    with pytest.raises(ResourceGuard, match="level 10"):
+        tree.node((0,) * 10)
 
 
 def test_rotating_ball_sibling_separation():

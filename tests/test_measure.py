@@ -226,8 +226,11 @@ def test_query_validation():
     with pytest.raises(ValueError):
         RegionQuery(ball=Ball(np.zeros(2), 0.0))
     tree = lebesgue_tree(1)
-    with pytest.raises(ValueError):
-        region_measure(tree, RegionQuery(ball=Ball(np.array([0.5]), 0.1)), -1)
+    query = RegionQuery(ball=Ball(np.array([0.5]), 0.1))
+    for depth in (-1, 2.5):
+        with pytest.raises(ValueError, match="depth_budget"):
+            region_measure(tree, query, depth)
+    assert region_measure(tree, query, np.int64(3)) == region_measure(tree, query, 3)
 
 
 _MID = np.array([0.5, 0.5])
@@ -243,8 +246,12 @@ _MID = np.array([0.5, 0.5])
     dict(box=Box(_MID, np.array([0.2, 0.2, 0.2]))),
     dict(box=Box(_MID, np.array([0.0, 0.2]))),
     dict(box=Box(_MID, np.array([0.2, -0.1]))),
+    dict(ball=Ball(np.array([[0.5, 0.5]]), 0.1)),
+    dict(ball=Ball(np.array([]), 0.1)),
+    dict(box=Box(_MID, np.array([[0.2], [0.2]]))),
 ], ids=["nan-radius", "inf-radius", "nan-center", "inf-box-center", "nan-half",
-        "half-shape-1", "half-shape-3", "zero-half", "negative-half"])
+        "half-shape-1", "half-shape-3", "zero-half", "negative-half", "center-2-d-array",
+        "empty-center", "half-2-d-array"])
 def test_query_refuses_bad_base(base):
     with pytest.raises(ValueError):
         RegionQuery(**base)
@@ -533,9 +540,10 @@ def test_classify_matches_reference_at_near_ties(data):
 def test_classify_falls_back_only_at_near_ties_in_two_or_more_dimensions():
     rng = np.random.default_rng(7)
     seen = {1: [0, 0], 2: [0, 0], 3: [0, 0]}  # n -> [cases, fallbacks]
-    for _ in range(3000):
+    for _ in range(9000):
         case = _near_tie_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
-        if case is None:
+        # the kernel's only pair: a Box node under a ball query
+        if case is None or not isinstance(case[0], Box) or case[1].ball is None:
             continue
         fast, ref, fell_back = _verdicts(measure._Node(case[0]), case[1])
         assert fast == ref
@@ -638,8 +646,39 @@ def test_center_cache_matches_reference_as_queries_alternate(n, depth):
         for node in records:
             assert measure._classify(node, query) == \
                 measure._classify_reference(node.region, query), (step, node.region)
-            if query.ball is not None:
+            if isinstance(node.region, Box) and query.ball is not None:
                 assert node.qc == tuple(x)
+            elif isinstance(node.region, Ball):
+                assert node.qc is None
+
+
+@pytest.mark.parametrize("make,query,depth", [
+    (rotating_ball_tree, RegionQuery(ball=Ball(np.array([0.1, 0.0]), 0.6),
+                                     half_cone_excluded=(np.array([0.6, 0.8]), 0.5)), 3),
+    (lambda: lebesgue_tree(2), RegionQuery(box=Box(np.array([0.3, 0.6]),
+                                                   np.array([0.2, 0.15]))), 6),
+], ids=["ball-regions", "box-query"])
+def test_classify_takes_reference_off_box_nodes_under_ball_queries(
+        monkeypatch, make, query, depth):
+    kernel, reference, seen = measure._classify, measure._classify_reference, []
+
+    def counting(region, q):
+        seen.append(region)
+        return reference(region, q)
+
+    def checked(node, q):
+        before = len(seen)
+        verdict = kernel(node, q)
+        assert seen[before:] == [node.region]
+        return verdict
+
+    monkeypatch.setattr(measure, "_classify_reference", counting)
+    monkeypatch.setattr(measure, "_classify", checked)
+    tree = make()
+    region_measure(tree, query, depth)
+    assert len(seen) > 50
+    assert all(node.qc is None and node.dmin is None and node.dmax is None
+               for node in _records(tree, depth))
 
 
 def test_interleaved_queries_on_one_tree_match_fresh_trees():
