@@ -119,13 +119,18 @@ class _Node:
     shape the node's _Shape; any other region has neither and is classified
     by the numpy reference. qc, dmin and dmax are the distance bounds from
     a Box node to qc, the last ball-query center it was classified against.
+    pk is the plane key of the last plane-cone query at that center that
+    got past the ball, pv the verdict of its ball and plane cone, and d and
+    nd the node's offset from the center and its norm (set while pv is
+    inside or undecided); pk is cleared whenever qc changes.
     """
 
-    __slots__ = ("region", "c", "shape", "kids", "qc", "dmin", "dmax")
+    __slots__ = ("region", "c", "shape", "kids", "qc", "dmin", "dmax",
+                 "pk", "pv", "d", "nd")
 
     def __init__(self, region, sibling: _Node | None = None):
         self.region = region
-        self.kids = self.qc = self.dmin = self.dmax = None
+        self.kids = self.qc = self.dmin = self.dmax = self.pk = None
         if not isinstance(region, Box):
             self.c = self.shape = None
             return
@@ -247,8 +252,10 @@ class MeasureTree:
 
     def sample_points(self, count: int, depth: int, seed: int) -> np.ndarray:
         """Draw count points mu-distributed to the given depth (region centers)."""
-        if count < 1:
-            raise ValueError("count must be positive")
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError("count must be a positive integer")
+        if not isinstance(depth, numbers.Integral) or depth < 0:
+            raise ValueError("depth must be a non-negative integer")
         rng = np.random.default_rng(seed)
         out = np.empty((count, self.ambient_dim))
         for i in range(count):
@@ -301,7 +308,10 @@ class RegionQuery:
     with a = sqrt(1 - alpha^2) for X+ and a = alpha for H. vecs holds the
     plane's frame rows, or the direction, as float tuples. For a ball query,
     floats holds the center, the radius and the rounding bound (tol, tiny)
-    of _classify, on Python floats; a box query leaves it unset.
+    of _classify, on Python floats, and the plane key: (center, radius,
+    vecs, a) of a query with a plane cone, else None. The key holds values
+    only, so queries of equal ball and plane cone share it whatever their
+    objects. A box query leaves floats unset.
     """
 
     ball: Ball | None = None
@@ -349,8 +359,12 @@ class RegionQuery:
             # In one dimension every sum in _classify has a single term, so no
             # rounding bound is needed; see _classify for the bound itself.
             tol, tiny = (0.0, 0.0) if n == 1 else (_ROUNDING_SLACK * (n + 2) ** 2 * _U, _TINY)
-            object.__setattr__(self, "floats", (tuple(map(float, self.center)),
-                                                float(self.ball.radius), tol, tiny))
+            qc, r = tuple(map(float, self.center)), float(self.ball.radius)
+            key = None
+            if self.plane_cone is not None:
+                _, _, a, _, vecs = cones[0]
+                key = (qc, r, vecs, a)
+            object.__setattr__(self, "floats", (qc, r, tol, tiny, key))
 
     @property
     def center(self) -> np.ndarray:
@@ -358,6 +372,7 @@ class RegionQuery:
 
 
 _INSIDE, _OUTSIDE, _UNDECIDED = 1, 0, -1
+_NEAR_TIE = 2  # a stored verdict of _classify that takes the reference
 _U = 2.0 ** -53  # unit roundoff of a double
 # Python sums of squares and products, and numpy's dot (which may fuse
 # multiply-adds), each lie within about (n + 2) u of the exact value relative
@@ -436,50 +451,69 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     Centers that compare equal give equal bounds, also where a coordinate
     is 0.0 in one and -0.0 in the other. The bounding radius is computed
     once a cone query needs it.
+
+    A query with a plane cone evaluates it first. Once the ball has left
+    the node inside or undecided, the verdict of the ball and the plane
+    cone (inside, undecided, outside or a near tie) is stored under the
+    query's plane key with the offset d and |d|, and a query of equal key
+    reads it and evaluates only its direction cones: the walks of one
+    worst_cone_ratio share a plane across the whole direction net. The
+    key holds the center, so centers that compare equal share it too, and
+    give offsets that differ at most in the sign of a zero coordinate,
+    which no norm, product sum or comparison here can tell apart.
     """
     shape = node.shape
     if shape is None or query.ball is None:
         return _classify_reference(node.region, query)
-    c, ext = node.c, shape.ext
-    qc, qext, tol, tiny = query.floats
-    if node.qc == qc:
-        dmin, dmax = node.dmin, node.dmax
-    else:  # Box.dist_bounds
-        s_lo = s_hi = 0.0
-        for ci, h, qi in zip(c, ext, qc):
-            g = abs(qi - ci)
-            lo, hi = g - h, g + h
-            if lo > 0.0:
-                s_lo += lo * lo
-            s_hi += hi * hi
-        dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
-        node.qc, node.dmin, node.dmax = qc, dmin, dmax
-    e = tol * (dmax + qext) + tiny
-    t = dmax - qext
-    if not abs(t) >= e:
-        return _classify_reference(node.region, query)
-    if t <= 0.0:
-        verdict = _INSIDE
+    qc, qext, tol, tiny, pk = query.floats
+    if pk is not None and node.pk == pk:
+        verdict = node.pv
+        if verdict == _OUTSIDE:
+            return _OUTSIDE
+        if verdict == _NEAR_TIE:
+            return _classify_reference(node.region, query)
+        d, nd, rho = node.d, node.nd, shape.rho
+        e = tol * 2.0 * nd + tiny
     else:
-        t = dmin - qext
+        c, ext = node.c, shape.ext
+        if node.qc == qc:
+            dmin, dmax = node.dmin, node.dmax
+        else:  # Box.dist_bounds
+            s_lo = s_hi = 0.0
+            for ci, h, qi in zip(c, ext, qc):
+                g = abs(qi - ci)
+                lo, hi = g - h, g + h
+                if lo > 0.0:
+                    s_lo += lo * lo
+                s_hi += hi * hi
+            dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
+            node.qc, node.dmin, node.dmax, node.pk = qc, dmin, dmax, None
+        e = tol * (dmax + qext) + tiny
+        t = dmax - qext
         if not abs(t) >= e:
             return _classify_reference(node.region, query)
-        if t > 0.0:
-            return _OUTSIDE
-        verdict = _UNDECIDED
-    if not query.cones:
-        return verdict
-    rho = shape.rho
-    if rho is None:
-        rho = shape.rho = node.region.bounding_radius
-    d = [ci - qi for ci, qi in zip(c, qc)]
-    s = 0.0
-    for x in d:
-        s += x * x
-    nd = math.sqrt(s)
-    e = tol * 2.0 * nd + tiny
-    for plane, _, a, excluded, vecs in query.cones:
-        if plane:  # a |d| - |d - F^T F d|, F the frame rows
+        if t <= 0.0:
+            verdict = _INSIDE
+        else:
+            t = dmin - qext
+            if not abs(t) >= e:
+                return _classify_reference(node.region, query)
+            if t > 0.0:
+                return _OUTSIDE
+            verdict = _UNDECIDED
+        if not query.cones:
+            return verdict
+        rho = shape.rho
+        if rho is None:
+            rho = shape.rho = node.region.bounding_radius
+        d = [ci - qi for ci, qi in zip(c, qc)]
+        s = 0.0
+        for x in d:
+            s += x * x
+        nd = math.sqrt(s)
+        e = tol * 2.0 * nd + tiny
+        if pk is not None:  # a |d| - |d - F^T F d|, F the frame rows
+            _, _, a, _, vecs = query.cones[0]
             p = [0.0] * len(d)
             for row in vecs:
                 pj = 0.0
@@ -492,11 +526,31 @@ def _classify(node: _Node, query: RegionQuery) -> int:
                 x -= pi
                 s += x * x
             value = a * nd - math.sqrt(s)
-        else:
-            dt = 0.0
-            for x, th in zip(d, vecs):
-                dt += x * th
-            value = dt - a * nd
+            margin = (1.0 + a) * rho
+            t = value - margin
+            if not abs(t) >= e:
+                verdict = _NEAR_TIE
+            elif t <= 0.0:
+                t = value + margin
+                if not abs(t) >= e:
+                    verdict = _NEAR_TIE
+                elif t <= 0.0:
+                    verdict = _OUTSIDE
+                else:
+                    verdict = _UNDECIDED
+            node.pk, node.pv = pk, verdict
+            if verdict == _OUTSIDE:
+                return _OUTSIDE
+            if verdict == _NEAR_TIE:
+                return _classify_reference(node.region, query)
+            node.d, node.nd = d, nd
+    for plane, _, a, excluded, vecs in query.cones:
+        if plane:  # always the first row, evaluated under the plane key
+            continue
+        dt = 0.0
+        for x, th in zip(d, vecs):
+            dt += x * th
+        value = dt - a * nd
         margin = (1.0 + a) * rho
         t = value - margin
         if not abs(t) >= e:
@@ -562,7 +616,9 @@ def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
     weights_fn(level) gives the conditional weights of the k^n children of
     every level - 1 cube, enumerated row-major over axis indices (level is
     1-based for the children being generated). Every cube of one side
-    shares one read-only half-width array.
+    shares one read-only half-width array. A child whose half-width is at
+    most the rounding bound of its coordinates raises ResourceGuard, as a
+    ball child does in MeasureTree.child.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -574,14 +630,19 @@ def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
         half.flags.writeable = False
         return half
 
-    def child_fn(region, _level, idx):
+    def child_fn(region, level, idx):
         # cube(center - half + offset * side, side) on Python floats, which
         # round as numpy's elementwise operations do
+        pc, ph = region.center.tolist(), region.half.tolist()
         side = float(2.0 * region.half[0]) / k
         h = 0.5 * side
-        return Box(np.array([c - w + o * side + h for c, w, o in
-                             zip(region.center.tolist(), region.half.tolist(), offsets[idx])]),
-                   shared_half(h))
+        c = [ci - w + o * side + h for ci, w, o in zip(pc, ph, offsets[idx])]
+        # the sums round by a few ulps of the largest coordinate, as in
+        # MeasureTree.child's bound for a ball child
+        if h <= 8.0 * _U * (max(map(abs, c)) + max(map(abs, pc)) + ph[0]):
+            raise ResourceGuard(f"child {idx} at level {level} has a half-width below "
+                                "the resolution of its coordinates")
+        return Box(np.array(c), shared_half(h))
 
     return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, child_fn, k=k)
 
@@ -604,8 +665,8 @@ def address_of_point(tree: MeasureTree, x, depth: int) -> tuple:
     n = tree.ambient_dim
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"point must be a finite vector in R^{n}")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    if not isinstance(depth, numbers.Integral) or depth < 0:
+        raise ValueError("depth must be a non-negative integer")
     root_lo = tree.root_region.center - tree.root_region.half
     root_hi = tree.root_region.center + tree.root_region.half
     if np.any(x < root_lo) or np.any(x >= root_hi):

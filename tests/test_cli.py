@@ -254,6 +254,16 @@ def test_measure_exits_4_below_rotating_ball_resolution(tmp_path):
     assert run(["measure", "--config", cfg, "--out", out]) == 4
 
 
+def test_measure_exits_4_below_kadic_resolution(tmp_path):
+    # the ball's boundary lies 2^-52 inside 1, so the walk refines the cubes
+    # next to 1 down to the depth budget; level 49 there is refused
+    cfg = write_config(tmp_path, "deep.json", {"measure": {"kind": "lebesgue", "n": 1},
+                                               "points": [[0.5]], "radius": 0.5 - 2.0 ** -52})
+    out = str(tmp_path / "out")
+    assert run(["measure", "--config", cfg, "--depth", "48", "--out", out]) == 0
+    assert run(["measure", "--config", cfg, "--depth", "49", "--out", out]) == 4
+
+
 # Small fixed runs of every subcommand. tests/cli_golden.json holds, for each,
 # the exit code, stdout, CSV text and JSON summary (without its csv path)
 # recorded before the CLI's steps were folded into shared helpers.

@@ -171,6 +171,10 @@ KADIC_BAD_INPUT = {
     "point-nan": lambda: address_of_point(lebesgue_tree(1), [math.nan], 4),
     "point-matrix": lambda: address_of_point(lebesgue_tree(1), [[0.3]], 2),
     "depth-negative": lambda: address_of_point(lebesgue_tree(1), [0.3], -1),
+    "depth-fractional": lambda: address_of_point(lebesgue_tree(1), [0.3], 2.5),
+    "sample-depth-negative": lambda: lebesgue_tree(2).sample_points(2, -1, seed=0),
+    "sample-depth-fractional": lambda: lebesgue_tree(2).sample_points(2, 2.5, seed=0),
+    "sample-count-fractional": lambda: lebesgue_tree(2).sample_points(2.5, 3, seed=0),
     "lcf-point-wrong-dim": lambda: large_child_frequency(
         lebesgue_tree(2), [0.3], 1, 1, 1e-6, 1.0, 2),
     "lcf-l-zero": lambda: large_child_frequency(

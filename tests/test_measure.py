@@ -114,6 +114,27 @@ def test_tree_refuses_child_ball_escaping_its_parent():
         assert len(_two_ball_tree(0.5 * parent_radius, parent_radius).children(())) == 2
 
 
+def test_kadic_tree_refuses_children_below_coordinate_resolution():
+    # a cube's half-width must exceed 8 u (|child c| + |parent c| + parent
+    # half): near 1 that is 2^-49 from level 49 on, near 0 far deeper
+    tree = lebesgue_tree(1)
+    region, _ = tree.node((1,) * 48)
+    assert region.center[0] == 1.0 - 2.0 ** -49 and region.half[0] == 2.0 ** -49
+    with pytest.raises(measure.ResourceGuard, match="level 49"):
+        tree.node((1,) * 49)
+    tree.node((0,) + (1,) * 48)  # just below 0.5, where one more level builds
+    with pytest.raises(measure.ResourceGuard, match="level 50"):
+        tree.node((0,) + (1,) * 49)
+    tree.node((0,) * 64)
+    with pytest.raises(measure.ResourceGuard, match="level 49"):
+        lebesgue_tree(2).node((3,) * 49)
+    # a ball whose boundary lies 2^-52 inside 1 is refined there to the budget
+    query = RegionQuery(ball=Ball(np.array([0.5]), 0.5 - 2.0 ** -52))
+    assert region_measure(tree, query, 48).depth_used == 48
+    with pytest.raises(measure.ResourceGuard):
+        region_measure(tree, query, 49)
+
+
 def test_node_and_branch_fan():
     tree = lebesgue_tree(1)
     region, mass = tree.node((0, 1))
@@ -650,6 +671,120 @@ def test_center_cache_matches_reference_as_queries_alternate(n, depth):
                 assert node.qc == tuple(x)
             elif isinstance(node.region, Ball):
                 assert node.qc is None
+
+
+# ---------------------------------------------------------------------------
+# The ball-and-plane-cone verdict that a node record keeps under a plane key
+
+
+def _plane_cache_queries(n):
+    """Plane-cone queries on [0, 1)^n that change one part of the plane key
+    (center, radius, plane, opening) at a time, or only the direction cones,
+    with ball-only queries between them."""
+    x = np.array([0.4130, 0.5671, 0.3384][:n])
+    far = np.array([0.6052, 0.3917, 0.7125][:n])
+    zero, negative_zero = x.copy(), x.copy()
+    zero[-1], negative_zero[-1] = 0.0, -0.0
+    t1, t2 = np.array([0.6, 0.8, 0.0][:n]), np.array([-0.8, 0.6, 0.0][:n])
+    t3 = np.array([0.48, 0.6, 0.64][:n])
+    t3 = t3 / math.sqrt(t3.dot(t3))
+
+    def plane(*rows):
+        return Subspace(np.array([r[:n] for r in rows]))
+
+    v1 = lambda: plane([0.8, -0.6, 0.0])
+    v2 = lambda: plane([math.sqrt(0.5), math.sqrt(0.5), 0.0])
+    v3 = (lambda: plane([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])) if n == 3 else v2
+
+    def q(c=x, r=0.21, V=v1, a=0.5, **cones):
+        return RegionQuery(ball=Ball(c, r), plane_cone=(V(), a), **cones)
+
+    return [
+        q(half_cone_excluded=(t1, 0.5)),
+        q(half_cone_excluded=(t2, 0.5)),                      # direction
+        q(half_cone_excluded=(t3, 0.4)),                      # direction and its opening
+        q(half_cone_excluded=(t1, 0.5)),
+        q(r=0.17, half_cone_excluded=(t1, 0.5)),              # radius
+        q(a=0.3, half_cone_excluded=(t1, 0.5)),               # opening
+        q(V=v2, half_cone_excluded=(t1, 0.5)),                # plane
+        q(V=v3, half_cone_excluded=(t2, 0.5)),
+        q(),                                                  # the plane cone alone
+        q(one_sided_cone=(t2, 0.7)),                          # a one-sided cone
+        q(one_sided_cone=(t1, 0.7), half_cone_excluded=(t2, 0.5)),
+        RegionQuery(ball=Ball(x, 0.21), one_sided_cone=(t1, 0.7)),
+        RegionQuery(ball=Ball(x, 0.3)),
+        q(half_cone_excluded=(t2, 0.5)),
+        q(c=far, half_cone_excluded=(t2, 0.5)),               # center
+        q(half_cone_excluded=(t2, 0.5)),
+        q(c=zero, r=0.3, half_cone_excluded=(t1, 0.5)),
+        q(c=negative_zero, r=0.3, half_cone_excluded=(t1, 0.5)),  # 0.0 -> -0.0
+        q(c=negative_zero, r=0.3, half_cone_excluded=(t2, 0.5)),
+        q(c=zero, r=0.3),
+        RegionQuery(ball=Ball(far, 0.21)),
+        q(half_cone_excluded=(t1, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("n,depth", [(2, 7), (3, 4)])
+def test_plane_cache_matches_reference_and_fresh_trees(monkeypatch, n, depth):
+    queries = _plane_cache_queries(n)
+    shared = lebesgue_tree(n)
+    records = _records(lebesgue_tree(n), depth - 2)
+    counts = _check_every_node(monkeypatch)
+    for step, query in enumerate(queries):
+        for early_stop in (None, 0.02):
+            assert region_measure(shared, query, depth, early_stop) == \
+                region_measure(lebesgue_tree(n), query, depth, early_stop), step
+        # every record, in tree order rather than walk order
+        for node in records:
+            counts[0] += 1
+            assert measure._classify(node, query) == \
+                measure._classify_reference(node.region, query), (step, node.region)
+    assert counts[0] > 20000
+
+
+def test_plane_verdict_is_reused_across_directions(monkeypatch):
+    # once a walk at each direction has classified its nodes, walks that
+    # change only the direction find every node's ball-and-plane verdict
+    # stored, and compute no square root; the plane is a new Subspace each
+    # time, so the key holds values rather than objects
+    x = np.array([0.4130, 0.5671])
+    thetas = [np.array([0.6, 0.8]), np.array([-0.8, 0.6]), np.array([0.0, -1.0])]
+
+    def query(theta):
+        return RegionQuery(ball=Ball(x, 0.21), plane_cone=(Subspace(np.array([[0.8, -0.6]])), 0.5),
+                           half_cone_excluded=(theta, 0.5))
+
+    tree = lebesgue_tree(2)
+    warm = [region_measure(tree, query(theta), 8) for theta in thetas]
+    roots, calls = [], [0, 0]  # [_classify calls, reference calls]
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def sqrt(v):
+            roots.append(v)
+            return math.sqrt(v)
+
+    kernel, reference = measure._classify, measure._classify_reference
+
+    def counting_kernel(node, q):
+        calls[0] += 1
+        return kernel(node, q)
+
+    def counting_reference(region, q):
+        calls[1] += 1
+        return reference(region, q)
+
+    monkeypatch.setattr(measure, "math", CountingMath())
+    monkeypatch.setattr(measure, "_classify", counting_kernel)
+    monkeypatch.setattr(measure, "_classify_reference", counting_reference)
+    for theta, before in zip(thetas[::-1] + thetas, warm[::-1] + warm):
+        assert region_measure(tree, query(theta), 8) == before
+    assert calls[0] > 3000 and calls[1] == 0
+    assert roots == []
 
 
 @pytest.mark.parametrize("make,query,depth", [
