@@ -4,6 +4,7 @@ full constant dependency chain."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +159,8 @@ def density_profile(tree: MeasureTree, x, alpha: float, r0: float, levels: int,
                     depth: int, early_stop_lo: float | None = None) -> DensityProfile:
     """Evaluate worst_cone_ratio, without the estimate, at radii r0 * 2^-j
     for j = 1..levels."""
-    if levels < 1:
-        raise ValueError("levels must be positive")
+    if not (isinstance(levels, numbers.Integral) and not isinstance(levels, bool) and levels >= 1):
+        raise ValueError(f"levels must be a positive integer, got {levels!r}")
     x = np.asarray(x, dtype=float)
     radii = tuple(r0 * 2.0 ** (-j) for j in range(1, levels + 1))
     ratios = tuple(

@@ -134,8 +134,10 @@ class DoublingStats:
 def doubling_frequency(tree: MeasureTree, x, gamma: float, k: int, c: float,
                        l: int, depth: int) -> DoublingStats:
     """Count scales j <= l with mu(B(x, g k^-j)) >= c mu(B(x, g k^-j+1))."""
-    if gamma <= 0 or l < 1:
-        raise ValueError("need gamma > 0 and l >= 1")
+    if gamma <= 0:
+        raise ValueError("need gamma > 0")
+    if not (isinstance(l, numbers.Integral) and not isinstance(l, bool) and l >= 1):
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
     if not (isinstance(k, numbers.Integral) and k >= 2):
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if not (math.isfinite(c) and c > 0.0):

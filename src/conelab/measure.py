@@ -117,12 +117,13 @@ class _Node:
     region is the node's region, kids its child records once the node was
     first expanded. For a Box region, c is the center as a float tuple and
     shape the node's _Shape; any other region has neither and is classified
-    by the numpy reference. qc, dmin and dmax are the distance bounds from
-    a Box node to qc, the last ball-query center it was classified against.
-    pk is the plane key of the last plane-cone query at that center that
-    got past the ball, pv the verdict of its ball and plane cone, and d and
-    nd the node's offset from the center and its norm (set while pv is
-    inside or undecided); pk is cleared whenever qc changes.
+    by the numpy reference. Everything else a Box record keeps belongs to
+    qc, the last ball-query center it was classified against: dmin and dmax
+    its distance bounds to qc, d and nd its offset from qc and the offset's
+    norm once a cone query at qc needed them (else d is None), and pv the
+    verdict of the plane cone row alone under the plane key pk, (frame
+    rows, opening), of the last plane-cone query at qc that decided it.
+    A change of qc resets d and pk.
     """
 
     __slots__ = ("region", "c", "shape", "kids", "qc", "dmin", "dmax",
@@ -130,7 +131,7 @@ class _Node:
 
     def __init__(self, region, sibling: _Node | None = None):
         self.region = region
-        self.kids = self.qc = self.dmin = self.dmax = self.pk = None
+        self.kids = self.qc = self.dmin = self.dmax = None
         if not isinstance(region, Box):
             self.c = self.shape = None
             return
@@ -254,8 +255,6 @@ class MeasureTree:
         """Draw count points mu-distributed to the given depth (region centers)."""
         if not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError("count must be a positive integer")
-        if not isinstance(depth, numbers.Integral) or depth < 0:
-            raise ValueError("depth must be a non-negative integer")
         rng = np.random.default_rng(seed)
         out = np.empty((count, self.ambient_dim))
         for i in range(count):
@@ -267,6 +266,8 @@ class MeasureTree:
 
         Returns the addresses visited, root first, and the final region.
         """
+        if not isinstance(depth, numbers.Integral) or depth < 0:
+            raise ValueError("depth must be a non-negative integer")
         trail, region = [()], self.root_region
         for level in range(1, depth + 1):
             idx = bisect_right(self._cdf(level), rng.random())
@@ -308,10 +309,11 @@ class RegionQuery:
     with a = sqrt(1 - alpha^2) for X+ and a = alpha for H. vecs holds the
     plane's frame rows, or the direction, as float tuples. For a ball query,
     floats holds the center, the radius and the rounding bound (tol, tiny)
-    of _classify, on Python floats, and the plane key: (center, radius,
-    vecs, a) of a query with a plane cone, else None. The key holds values
-    only, so queries of equal ball and plane cone share it whatever their
-    objects. A box query leaves floats unset.
+    of _classify, on Python floats, and the plane key: (vecs, a) of a query
+    with a plane cone, else None. The key holds values only, so queries of
+    equal plane cone share it whatever their objects; a node record keeps
+    a plane verdict under it for its last center only. A box query leaves
+    floats unset.
     """
 
     ball: Ball | None = None
@@ -363,7 +365,7 @@ class RegionQuery:
             key = None
             if self.plane_cone is not None:
                 _, _, a, _, vecs = cones[0]
-                key = (qc, r, vecs, a)
+                key = (vecs, a)
             object.__setattr__(self, "floats", (qc, r, tol, tiny, key))
 
     @property
@@ -372,7 +374,6 @@ class RegionQuery:
 
 
 _INSIDE, _OUTSIDE, _UNDECIDED = 1, 0, -1
-_NEAR_TIE = 2  # a stored verdict of _classify that takes the reference
 _U = 2.0 ** -53  # unit roundoff of a double
 # Python sums of squares and products, and numpy's dot (which may fuse
 # multiply-adds), each lie within about (n + 2) u of the exact value relative
@@ -443,130 +444,103 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     the exact value, S the magnitudes of the compared operands (dmax + r for
     the ball, 2 |d| for a cone margin), so a comparison whose sides are at
     least that far apart decides the same way on both. A nearer one, a near
-    tie, takes the reference verdict for the node.
+    tie, takes the reference verdict for the node and is not stored.
 
-    The node's distance bounds are reused when the query center equals the
-    node's last ball-query center, and otherwise stored: the walks of one
-    worst_cone_ratio, or of one doubling_frequency, share their center.
-    Centers that compare equal give equal bounds, also where a coordinate
-    is 0.0 in one and -0.0 in the other. The bounding radius is computed
-    once a cone query needs it.
-
-    A query with a plane cone evaluates it first. Once the ball has left
-    the node inside or undecided, the verdict of the ball and the plane
-    cone (inside, undecided, outside or a near tie) is stored under the
-    query's plane key with the offset d and |d|, and a query of equal key
-    reads it and evaluates only its direction cones: the walks of one
-    worst_cone_ratio share a plane across the whole direction net. The
-    key holds the center, so centers that compare equal share it too, and
-    give offsets that differ at most in the sign of a zero coordinate,
-    which no norm, product sum or comparison here can tell apart.
+    Everything the record keeps belongs to its last query center: the
+    distance bounds, the offset d and |d| once a cone query at that center
+    reaches the node, and the verdict of the plane cone row alone under the
+    query's plane key. A query at another center recomputes the bounds and
+    resets the offset and the plane key. So the walks of one
+    worst_cone_ratio or halfspace_deficiency share bounds and offsets, and
+    the walks of one plane share its row across the direction net. Centers
+    that compare equal share all of it, also where a coordinate is 0.0 in
+    one and -0.0 in the other: their offsets differ at most in the sign of
+    a zero coordinate, which no norm, product sum or comparison here can
+    tell apart. The bounding radius is computed once a cone query needs it.
     """
     shape = node.shape
     if shape is None or query.ball is None:
         return _classify_reference(node.region, query)
     qc, qext, tol, tiny, pk = query.floats
-    if pk is not None and node.pk == pk:
-        verdict = node.pv
-        if verdict == _OUTSIDE:
-            return _OUTSIDE
-        if verdict == _NEAR_TIE:
-            return _classify_reference(node.region, query)
-        d, nd, rho = node.d, node.nd, shape.rho
-        e = tol * 2.0 * nd + tiny
+    c = node.c
+    if node.qc == qc:
+        dmin, dmax = node.dmin, node.dmax
+    else:  # Box.dist_bounds
+        s_lo = s_hi = 0.0
+        for ci, h, qi in zip(c, shape.ext, qc):
+            g = abs(qi - ci)
+            lo, hi = g - h, g + h
+            if lo > 0.0:
+                s_lo += lo * lo
+            s_hi += hi * hi
+        dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
+        node.qc, node.dmin, node.dmax, node.d, node.pk = qc, dmin, dmax, None, None
+    e = tol * (dmax + qext) + tiny
+    t = dmax - qext
+    if not abs(t) >= e:
+        return _classify_reference(node.region, query)
+    if t <= 0.0:
+        verdict = _INSIDE
     else:
-        c, ext = node.c, shape.ext
-        if node.qc == qc:
-            dmin, dmax = node.dmin, node.dmax
-        else:  # Box.dist_bounds
-            s_lo = s_hi = 0.0
-            for ci, h, qi in zip(c, ext, qc):
-                g = abs(qi - ci)
-                lo, hi = g - h, g + h
-                if lo > 0.0:
-                    s_lo += lo * lo
-                s_hi += hi * hi
-            dmin, dmax = math.sqrt(s_lo), math.sqrt(s_hi)
-            node.qc, node.dmin, node.dmax, node.pk = qc, dmin, dmax, None
-        e = tol * (dmax + qext) + tiny
-        t = dmax - qext
-        if not abs(t) >= e:
-            return _classify_reference(node.region, query)
-        if t <= 0.0:
-            verdict = _INSIDE
-        else:
-            t = dmin - qext
-            if not abs(t) >= e:
-                return _classify_reference(node.region, query)
-            if t > 0.0:
-                return _OUTSIDE
-            verdict = _UNDECIDED
-        if not query.cones:
-            return verdict
-        rho = shape.rho
-        if rho is None:
-            rho = shape.rho = node.region.bounding_radius
-        d = [ci - qi for ci, qi in zip(c, qc)]
-        s = 0.0
-        for x in d:
-            s += x * x
-        nd = math.sqrt(s)
-        e = tol * 2.0 * nd + tiny
-        if pk is not None:  # a |d| - |d - F^T F d|, F the frame rows
-            _, _, a, _, vecs = query.cones[0]
-            p = [0.0] * len(d)
-            for row in vecs:
-                pj = 0.0
-                for f, x in zip(row, d):
-                    pj += f * x
-                for i, f in enumerate(row):
-                    p[i] += f * pj
-            s = 0.0
-            for x, pi in zip(d, p):
-                x -= pi
-                s += x * x
-            value = a * nd - math.sqrt(s)
-            margin = (1.0 + a) * rho
-            t = value - margin
-            if not abs(t) >= e:
-                verdict = _NEAR_TIE
-            elif t <= 0.0:
-                t = value + margin
-                if not abs(t) >= e:
-                    verdict = _NEAR_TIE
-                elif t <= 0.0:
-                    verdict = _OUTSIDE
-                else:
-                    verdict = _UNDECIDED
-            node.pk, node.pv = pk, verdict
-            if verdict == _OUTSIDE:
-                return _OUTSIDE
-            if verdict == _NEAR_TIE:
-                return _classify_reference(node.region, query)
-            node.d, node.nd = d, nd
-    for plane, _, a, excluded, vecs in query.cones:
-        if plane:  # always the first row, evaluated under the plane key
-            continue
-        dt = 0.0
-        for x, th in zip(d, vecs):
-            dt += x * th
-        value = dt - a * nd
-        margin = (1.0 + a) * rho
-        t = value - margin
+        t = dmin - qext
         if not abs(t) >= e:
             return _classify_reference(node.region, query)
         if t > 0.0:
-            if excluded:  # fully inside the excluded cone
-                return _OUTSIDE
-            continue
-        t = value + margin
-        if not abs(t) >= e:
-            return _classify_reference(node.region, query)
-        if t <= 0.0:
-            if not excluded:
-                return _OUTSIDE
+            return _OUTSIDE
+        verdict = _UNDECIDED
+    if not query.cones:
+        return verdict
+    rho = shape.rho
+    if rho is None:
+        rho = shape.rho = node.region.bounding_radius
+    d = node.d
+    if d is None:
+        d = node.d = [ci - qi for ci, qi in zip(c, qc)]
+        s = 0.0
+        for x in d:
+            s += x * x
+        node.nd = math.sqrt(s)
+    nd = node.nd
+    e = tol * 2.0 * nd + tiny
+    for plane, _, a, excluded, vecs in query.cones:
+        if plane and node.pk == pk:
+            v = node.pv
         else:
+            if plane:  # a |d| - |d - F^T F d|, F the frame rows
+                p = [0.0] * len(d)
+                for row in vecs:
+                    pj = 0.0
+                    for f, x in zip(row, d):
+                        pj += f * x
+                    for i, f in enumerate(row):
+                        p[i] += f * pj
+                s = 0.0
+                for x, pi in zip(d, p):
+                    x -= pi
+                    s += x * x
+                value = a * nd - math.sqrt(s)
+            else:
+                value = 0.0
+                for x, th in zip(d, vecs):
+                    value += x * th
+                value -= a * nd
+            margin = (1.0 + a) * rho
+            t = value - margin
+            if not abs(t) >= e:
+                return _classify_reference(node.region, query)
+            if t > 0.0:
+                v = _INSIDE
+            else:
+                t = value + margin
+                if not abs(t) >= e:
+                    return _classify_reference(node.region, query)
+                v = _OUTSIDE if t <= 0.0 else _UNDECIDED
+            if plane:
+                node.pk, node.pv = pk, v
+        if v == _UNDECIDED:
             verdict = _UNDECIDED
+        elif (v == _INSIDE) == excluded:  # inside an excluded cone, or outside a cone
+            return _OUTSIDE
     return verdict
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conelab.constructions import binomial_tree, constant_binomial_tree
+from conelab.density import density_profile
 from conelab.homogeneity import (dimension_bound, doubling_constant,
                                  doubling_frequency, hom_estimate,
                                  large_child_frequency, order_children)
@@ -175,6 +176,18 @@ KADIC_BAD_INPUT = {
     "sample-depth-negative": lambda: lebesgue_tree(2).sample_points(2, -1, seed=0),
     "sample-depth-fractional": lambda: lebesgue_tree(2).sample_points(2, 2.5, seed=0),
     "sample-count-fractional": lambda: lebesgue_tree(2).sample_points(2.5, 3, seed=0),
+    "branch-depth-negative": lambda: lebesgue_tree(2).sample_branch(np.random.default_rng(0), -1),
+    "branch-depth-fractional": lambda: lebesgue_tree(2).sample_branch(
+        np.random.default_rng(0), 2.5),
+    "doubling-l-fractional": lambda: doubling_frequency(
+        lebesgue_tree(1), [0.4], 1.0, 2, 0.0625, 2.5, 10),
+    "doubling-l-bool": lambda: doubling_frequency(
+        lebesgue_tree(1), [0.4], 1.0, 2, 0.0625, True, 10),
+    # levels is checked before the nets are read
+    "profile-levels-fractional": lambda: density_profile(
+        lebesgue_tree(2), [0.5, 0.5], 0.5, 0.25, 2.5, None, None, 1e-9, 6),
+    "profile-levels-bool": lambda: density_profile(
+        lebesgue_tree(2), [0.5, 0.5], 0.5, 0.25, True, None, None, 1e-9, 6),
     "lcf-point-wrong-dim": lambda: large_child_frequency(
         lebesgue_tree(2), [0.3], 1, 1, 1e-6, 1.0, 2),
     "lcf-l-zero": lambda: large_child_frequency(

@@ -2,6 +2,7 @@
 and a check that the pytest configuration reports failing tests as failures."""
 
 import ast
+import importlib
 import math
 import pathlib
 import subprocess
@@ -257,6 +258,65 @@ def test_no_unread_parameters():
     sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert unread_parameters(sources) == []
+
+
+def perfbench_names(sources: dict, modules: set) -> list:
+    """(module, name) of every conelab name that the benchmark sources reach
+    by name: attributes read off a conelab module, names imported from one,
+    and the "module.name" entries of run.py's TREE_METHODS (MeasureTree
+    methods) and LAYER_FUNCTIONS, which it wraps through getattr."""
+    found = set()
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                found.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("conelab."):
+                found.update((node.module[8:], alias.name) for alias in node.names)
+        if mod != "run.py":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                if stmt.targets[0].id == "TREE_METHODS":
+                    found.update(("measure.MeasureTree", m) for m in ast.literal_eval(stmt.value))
+                elif stmt.targets[0].id == "LAYER_FUNCTIONS":
+                    found.update(tuple(f.split(".")) for f in ast.literal_eval(stmt.value))
+    return sorted(found)
+
+
+def test_perfbench_names_checker_reads_every_form():
+    sources = {
+        "run.py": ("from conelab import measure\n"
+                   "TREE_METHODS = ('children',)\n"
+                   "LAYER_FUNCTIONS = ('cli._parallel',)\n"
+                   "def f(tree):\n"
+                   "    return measure._classify(tree, measure)\n"),
+        "check.py": "from conelab.density import worst_cone_ratio\n",
+    }
+    assert perfbench_names(sources, {"measure", "density"}) == [
+        ("cli", "_parallel"), ("density", "worst_cone_ratio"),
+        ("measure", "_classify"), ("measure.MeasureTree", "children")]
+
+
+def test_every_name_perfbench_reaches_exists():
+    # a rename or deletion here breaks the benchmark, not the test suite
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    names = perfbench_names(sources, {path.stem for path in MODULES})
+    assert {("measure", "_classify"), ("cli", "_parallel"),
+            ("measure.MeasureTree", "sample_points")} <= set(names)
+    missing = []
+    for owner, name in names:
+        mod, _, cls = owner.partition(".")
+        module = importlib.import_module(f"conelab.{mod}")
+        if cls:
+            found = hasattr(getattr(module, cls), name)
+        else:  # LAYER_FUNCTIONS names MeasureTree methods as measure.<method>
+            found = hasattr(module, name) or hasattr(getattr(module, "MeasureTree", None), name)
+        if not found:
+            missing.append(f"{owner}.{name}")
+    assert missing == []
 
 
 FAILING_PROPERTY = """

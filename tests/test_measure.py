@@ -674,7 +674,7 @@ def test_center_cache_matches_reference_as_queries_alternate(n, depth):
 
 
 # ---------------------------------------------------------------------------
-# The ball-and-plane-cone verdict that a node record keeps under a plane key
+# The offsets and plane verdicts that a node record keeps for its last center
 
 
 def _plane_cache_queries(n):
@@ -743,18 +743,11 @@ def test_plane_cache_matches_reference_and_fresh_trees(monkeypatch, n, depth):
     assert counts[0] > 20000
 
 
-def test_plane_verdict_is_reused_across_directions(monkeypatch):
-    # once a walk at each direction has classified its nodes, walks that
-    # change only the direction find every node's ball-and-plane verdict
-    # stored, and compute no square root; the plane is a new Subspace each
-    # time, so the key holds values rather than objects
-    x = np.array([0.4130, 0.5671])
+def _rewalk_without_roots(monkeypatch, query):
+    """Warm a 2-d tree with walks of query(theta) at three directions, then
+    re-walk them in another order; asserts equal enclosures, no reference
+    verdict, and no square root in the re-walks."""
     thetas = [np.array([0.6, 0.8]), np.array([-0.8, 0.6]), np.array([0.0, -1.0])]
-
-    def query(theta):
-        return RegionQuery(ball=Ball(x, 0.21), plane_cone=(Subspace(np.array([[0.8, -0.6]])), 0.5),
-                           half_cone_excluded=(theta, 0.5))
-
     tree = lebesgue_tree(2)
     warm = [region_measure(tree, query(theta), 8) for theta in thetas]
     roots, calls = [], [0, 0]  # [_classify calls, reference calls]
@@ -785,6 +778,27 @@ def test_plane_verdict_is_reused_across_directions(monkeypatch):
         assert region_measure(tree, query(theta), 8) == before
     assert calls[0] > 3000 and calls[1] == 0
     assert roots == []
+
+
+_X = np.array([0.4130, 0.5671])
+
+
+def test_plane_verdict_is_reused_across_directions(monkeypatch):
+    # once a walk at each direction has classified its nodes, walks that
+    # change only the direction find every node's plane verdict stored, and
+    # compute no square root; the plane is a new Subspace each time, so the
+    # key holds values rather than objects
+    _rewalk_without_roots(monkeypatch, lambda theta: RegionQuery(
+        ball=Ball(_X, 0.21), plane_cone=(Subspace(np.array([[0.8, -0.6]])), 0.5),
+        half_cone_excluded=(theta, 0.5)))
+
+
+def test_offsets_are_reused_across_halfspace_directions(monkeypatch):
+    # walks at one center share each node's offset and its norm whatever
+    # their cones, so half-cone walks without a plane compute no square root
+    # once the center's offsets are stored
+    _rewalk_without_roots(monkeypatch, lambda theta: RegionQuery(
+        ball=Ball(_X, 0.21), half_cone_excluded=(theta, 0.5)))
 
 
 @pytest.mark.parametrize("make,query,depth", [
