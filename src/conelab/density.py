@@ -4,7 +4,6 @@ full constant dependency chain."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ from .geometry import (DirectionNet, Subspace, SubspaceNet,
                        build_direction_net, build_subspace_net)
 from .homogeneity import dimension_bound
 from .measure import Ball, MeasureInterval, MeasureTree, RegionQuery, region_measure
+from .validate import require_int
 
 
 def ratio_interval(num: MeasureInterval, den: MeasureInterval) -> MeasureInterval:
@@ -159,8 +159,7 @@ def density_profile(tree: MeasureTree, x, alpha: float, r0: float, levels: int,
                     depth: int, early_stop_lo: float | None = None) -> DensityProfile:
     """Evaluate worst_cone_ratio, without the estimate, at radii r0 * 2^-j
     for j = 1..levels."""
-    if not (isinstance(levels, numbers.Integral) and not isinstance(levels, bool) and levels >= 1):
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    require_int(levels, "levels", 1)
     x = np.asarray(x, dtype=float)
     radii = tuple(r0 * 2.0 ** (-j) for j in range(1, levels + 1))
     ratios = tuple(

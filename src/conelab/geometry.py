@@ -12,6 +12,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .validate import require_int
+
+# Subspace frames must satisfy max |F F^T - I| <= this.
+_ORTHONORMAL_TOL = 1e-10
+# The greedy packer draws, orthonormalizes and measures this many candidates
+# at once. Draws past the stopping point are wasted: at most one chunk, under
+# a tenth of the 10,000-rejection streak.
+_CHUNK = 1024
+# A stacked kernel may round differently from the per-candidate expression.
+# Dot products of unit vectors computed in another order differ by a few
+# units in the last place, and so do the singular values of their products,
+# far below this. sqrt(1 - s^2) near a separation sep amplifies a difference
+# in s by about 1/sep, so plane sines use _TIE / sep. Only a value farther
+# than that from the separation decides a candidate without the
+# per-candidate expression.
+_TIE = 1e-12
+
 
 def _as_vector(v, n=None):
     a = np.asarray(v, dtype=float)
@@ -72,8 +89,7 @@ class Subspace:
         f = np.atleast_2d(np.asarray(self.frame, dtype=float))
         if f.shape[0] > f.shape[1]:
             raise ValueError("frame has more vectors than the ambient dimension")
-        g = f @ f.T
-        if np.max(np.abs(g - np.eye(f.shape[0]))) > 1e-10:
+        if _orthonormality_error(f) > _ORTHONORMAL_TOL:
             raise ValueError("frame is not orthonormal")
         object.__setattr__(self, "frame", f)
         object.__setattr__(self, "codim", f.shape[1] - f.shape[0])
@@ -97,6 +113,12 @@ class Subspace:
     @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(np.eye(n))
+
+
+def _orthonormality_error(frames: np.ndarray):
+    """max |F F^T - I| of each frame F stacked along the leading axes."""
+    g = frames @ np.swapaxes(frames, -1, -2)
+    return np.max(np.abs(g - np.eye(frames.shape[-2])), axis=(-2, -1))
 
 
 def orthogonal_project(V: Subspace, y):
@@ -126,8 +148,13 @@ def _sine_distances(V: Subspace, frames: np.ndarray) -> np.ndarray:
         raise ValueError("ambient dimension mismatch")
     if frames.shape[1] != V.dim:
         raise ValueError("codimension mismatch")
-    s = np.linalg.svd(V.frame @ frames.transpose(0, 2, 1), compute_uv=False)
-    smin = np.minimum(1.0, np.min(s, axis=1))
+    return _sines(np.linalg.svd(V.frame @ frames.transpose(0, 2, 1), compute_uv=False))
+
+
+def _sines(s: np.ndarray) -> np.ndarray:
+    """Sine of the largest principal angle from singular values s of
+    frame products, stacked along the leading axes."""
+    smin = np.minimum(1.0, np.min(s, axis=-1))
     return np.sqrt(np.maximum(0.0, 1.0 - smin * smin))
 
 
@@ -181,22 +208,64 @@ def random_unit_vectors(n: int, count: int, rng) -> np.ndarray:
     return g / norms
 
 
-def _greedy_pack(draw, key, too_close, rejection_streak: int) -> list:
-    """Randomized greedy packing: keep each draw that is not too_close to the
-    stacked keys of the kept ones; stop after rejection_streak rejections in
-    a row."""
+def _greedy_pack(chunks, dist, sep: float, tie: float, too_close,
+                 rejection_streak: int) -> list:
+    """Randomized greedy packing at separation sep, drawn in chunks.
+
+    Keeps each draw that is not too_close(draw, stacked kept) and stops after
+    rejection_streak rejections in a row. chunks yields the draws stacked
+    along axis 0, in draw order. dist(cands, kept) is a stacked kernel: the
+    distance from each candidate to its nearest kept element, too close
+    below sep. A chunk is measured against the kept set once; after each
+    acceptance the rest of the chunk takes the minimum with its distance to
+    the new element alone. A distance within tie of sep may have rounded to
+    the other side, so that candidate is re-decided by too_close, the
+    per-draw expression. The kept elements are therefore the ones a per-draw
+    loop keeps, bit for bit. Each is stored as its own copy.
+    """
     kept: list = []
-    stack = None
     streak = 0
-    while streak < rejection_streak:
-        cand = draw()
-        if kept and too_close(cand, stack):
-            streak += 1
-        else:
-            kept.append(cand)
-            stack = np.asarray([key(c) for c in kept])
-            streak = 0
+    for cands in chunks:
+        d = dist(cands, np.asarray(kept)) if kept else np.full(len(cands), np.inf)
+        i = 0
+        while True:
+            # every candidate before j is too close beyond doubt
+            ahead = np.flatnonzero(d[i:] >= sep - tie)
+            j = i + int(ahead[0]) if ahead.size else len(cands)
+            streak += j - i
+            if streak >= rejection_streak:
+                return kept
+            if j == len(cands):
+                break
+            if d[j] <= sep + tie and too_close(cands[j], np.asarray(kept)):
+                streak += 1  # the next pass stops if this ends the streak
+            else:
+                kept.append(cands[j].copy())
+                streak = 0
+                d[j + 1:] = np.minimum(d[j + 1:], dist(cands[j + 1:], kept[-1][None]))
+            i = j + 1
     return kept
+
+
+def _pack_directions(n: int, cos_sep: float, rng, rejection_streak: int) -> list:
+    """Greedy packing of unit vectors with pairwise dot products below cos_sep.
+
+    The candidates are the draws of random_unit_vectors(n, 1, rng), one call
+    per candidate: a row of a chunk whose norm is below 1e-12 is dropped, as
+    that call resampled it from the next n normals.
+    """
+    def chunks():
+        while True:
+            g = rng.standard_normal((_CHUNK, n))
+            norms = np.linalg.norm(g, axis=1, keepdims=True)
+            ok = ~(norms[:, 0] < 1e-12)
+            yield g[ok] / norms[ok]
+
+    # the distance to the kept set is minus the largest dot product with it
+    return _greedy_pack(chunks(), lambda u, kept: -np.max(u @ kept.T, axis=1),
+                        -cos_sep, _TIE,
+                        lambda u, kept_dirs: np.max(kept_dirs @ u) >= cos_sep,
+                        rejection_streak)
 
 
 def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
@@ -204,10 +273,12 @@ def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
 
     n = 1 and n = 2 are deterministic; higher dimensions use a randomized
     greedy packing at 90% of the covering angle so the sample-tested
-    certificate has slack; it stops after 10,000 rejections in a row.
+    certificate has slack; it stops after 10,000 rejections in a row. The
+    draws are those of random_unit_vectors(n, 1, default_rng(seed)), one
+    call per draw, taken in chunks by _greedy_pack; the net is the one a
+    per-draw loop keeps, bit for bit. n must be an integer >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_int(n, "n", 1)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     beta = direction_net_beta(alpha)
@@ -222,9 +293,7 @@ def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
         return DirectionNet(dirs, beta, alpha)
     rng = np.random.default_rng(seed)
     cos_sep = math.cos(0.9 * radius)
-    kept = _greedy_pack(lambda: random_unit_vectors(n, 1, rng)[0], lambda u: u,
-                        lambda u, kept_dirs: np.max(kept_dirs @ u) >= cos_sep, 10_000)
-    return DirectionNet(np.asarray(kept), beta, alpha)
+    return DirectionNet(np.asarray(_pack_directions(n, cos_sep, rng, 10_000)), beta, alpha)
 
 
 @dataclass(frozen=True)
@@ -259,9 +328,16 @@ def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
     Samples are kept when farther than 0.9 * alpha/2 from every kept plane;
     construction stops after rejection_streak rejections in a row. The 10%
     margin keeps the sampled covering certificate comfortably away from the
-    stopping-rule tail.
+    stopping-rule tail. The samples are those of random_subspace(n, m,
+    default_rng(seed)), one call per sample, drawn and orthonormalized in
+    chunks by _greedy_pack; every sample passes the Subspace orthonormality
+    check, and the net is the one a per-sample loop keeps, bit for bit.
+    n >= 1, 0 <= m <= n - 1 and rejection_streak >= 1 must be integers.
     """
-    if not 0 <= m <= n - 1:
+    require_int(n, "n", 1)
+    require_int(m, "m", 0)
+    require_int(rejection_streak, "rejection_streak", 1)
+    if not m <= n - 1:
         raise ValueError("m must satisfy 0 <= m <= n-1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -269,7 +345,28 @@ def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
         return SubspaceNet((Subspace.full(n),), alpha)
     rng = np.random.default_rng(seed)
     sep = 0.9 * alpha / 2.0
-    kept = _greedy_pack(lambda: random_subspace(n, m, rng), lambda V: V.frame,
-                        lambda V, frames: np.min(_sine_distances(V, frames)) < sep,
-                        rejection_streak)
-    return SubspaceNet(tuple(kept), alpha)
+
+    # Candidates are the orthonormal factors Q of random_subspace's draws,
+    # shape (n, n - m); the plane's frame is Q.T, as random_subspace builds it.
+    def chunks():
+        while True:
+            q, _ = np.linalg.qr(rng.standard_normal((_CHUNK, n, n - m)))
+            bad = np.flatnonzero(_orthonormality_error(np.swapaxes(q, 1, 2)) > _ORTHONORMAL_TOL)
+            if bad.size:
+                # the packer stops before this candidate or meets the error
+                yield q[:bad[0]]
+                raise ValueError("frame is not orthonormal")
+            yield q
+
+    def dist(qs, kept):
+        p = np.swapaxes(qs, 1, 2)[:, None] @ kept
+        # the singular value of a 1 x 1 matrix is its absolute value, as the SVD gives it
+        s = np.abs(p[..., 0]) if n - m == 1 else np.linalg.svd(p, compute_uv=False)
+        return np.min(_sines(s), axis=1)
+
+    def too_close(q, kept):
+        frames = np.ascontiguousarray(np.swapaxes(kept, 1, 2))
+        return np.min(_sine_distances(Subspace(q.T), frames)) < sep
+
+    kept = _greedy_pack(chunks(), dist, sep, _TIE / sep, too_close, rejection_streak)
+    return SubspaceNet(tuple(Subspace(q.T) for q in kept), alpha)

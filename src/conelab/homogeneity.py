@@ -4,13 +4,13 @@ bound, doubling-scale statistics and the large-child scale frequency."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import (Ball, Box, MeasureTree, RegionQuery, address_of_point,
                       region_measure)
+from .validate import require_int
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,10 @@ def hom_estimate(tree: MeasureTree, i: int, l_max: int) -> HomEstimate:
     k = tree.k
     n = tree.ambient_dim
     fan_size = k ** n
-    if not 1 <= i <= fan_size:
+    require_int(i, "order index", 1)
+    if i > fan_size:
         raise ValueError(f"order index must lie in 1..{fan_size}")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    require_int(l_max, "l_max", 1)
 
     partials = []
     running = 0.0
@@ -136,10 +136,8 @@ def doubling_frequency(tree: MeasureTree, x, gamma: float, k: int, c: float,
     """Count scales j <= l with mu(B(x, g k^-j)) >= c mu(B(x, g k^-j+1))."""
     if gamma <= 0:
         raise ValueError("need gamma > 0")
-    if not (isinstance(l, numbers.Integral) and not isinstance(l, bool) and l >= 1):
-        raise ValueError(f"l must be an integer >= 1, got {l!r}")
-    if not (isinstance(k, numbers.Integral) and k >= 2):
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    require_int(l, "l", 1)
+    require_int(k, "k", 2)
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be finite and positive, got {c!r}")
     x = np.asarray(x, dtype=float)
@@ -167,10 +165,9 @@ def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
         raise ValueError("large_child_frequency requires a k-adic cube tree")
     if tau < 1.0:
         raise ValueError("tau must be at least 1")
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (m, M)):
-        raise ValueError("m and M must be non-negative integers")
+    require_int(l, "l", 1)
+    require_int(m, "m", 0)
+    require_int(M, "M", 0)
     k = tree.k
     n = tree.ambient_dim
     index = k ** n - M * k ** m

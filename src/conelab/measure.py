@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .validate import require_int
 
 WEIGHT_TOL = 1e-12
 
@@ -253,8 +254,7 @@ class MeasureTree:
 
     def sample_points(self, count: int, depth: int, seed: int) -> np.ndarray:
         """Draw count points mu-distributed to the given depth (region centers)."""
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError("count must be a positive integer")
+        require_int(count, "count", 1)
         rng = np.random.default_rng(seed)
         out = np.empty((count, self.ambient_dim))
         for i in range(count):
@@ -266,8 +266,7 @@ class MeasureTree:
 
         Returns the addresses visited, root first, and the final region.
         """
-        if not isinstance(depth, numbers.Integral) or depth < 0:
-            raise ValueError("depth must be a non-negative integer")
+        require_int(depth, "depth", 0)
         trail, region = [()], self.root_region
         for level in range(1, depth + 1):
             idx = bisect_right(self._cdf(level), rng.random())
@@ -552,8 +551,7 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
     early_stop_lo is given, refinement stops once lo exceeds it; the
     remaining undecided mass is folded into `hi`, keeping the enclosure sound.
     """
-    if not isinstance(depth_budget, numbers.Integral) or depth_budget < 0:
-        raise ValueError("depth_budget must be a non-negative integer")
+    require_int(depth_budget, "depth_budget", 0)
     if len(query.center) != tree.ambient_dim:
         raise ValueError("query and tree differ in dimension")
     lo = 0.0
@@ -639,8 +637,7 @@ def address_of_point(tree: MeasureTree, x, depth: int) -> tuple:
     n = tree.ambient_dim
     if x.shape != (n,) or not np.all(np.isfinite(x)):
         raise ValueError(f"point must be a finite vector in R^{n}")
-    if not isinstance(depth, numbers.Integral) or depth < 0:
-        raise ValueError("depth must be a non-negative integer")
+    require_int(depth, "depth", 0)
     root_lo = tree.root_region.center - tree.root_region.half
     root_hi = tree.root_region.center + tree.root_region.half
     if np.any(x < root_lo) or np.any(x >= root_hi):

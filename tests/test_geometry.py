@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conelab import geometry
 from conelab.configurations import check_separated_inclusion, compute_t
 from conelab.geometry import (DirectionNet, Subspace, build_direction_net,
                               build_subspace_net, direction_net_beta,
@@ -228,3 +229,202 @@ def test_subspace_net_golden(case):
 def test_direction_net_golden(case):
     net = build_direction_net(case["n"], case["alpha"], seed=case["seed"])
     assert net.directions.tolist() == case["directions"]
+
+
+# The greedy packer as it was before it drew in chunks, kept as a slow
+# reference: one draw, one Subspace or unit vector, and one stacked distance
+# to the kept set per round trip. It returns the kept elements and the number
+# of draws.
+def _per_draw_pack(draw, key, too_close, rejection_streak):
+    kept = []
+    stack = None
+    streak = draws = 0
+    while streak < rejection_streak:
+        cand = draw()
+        draws += 1
+        if kept and too_close(cand, stack):
+            streak += 1
+        else:
+            kept.append(cand)
+            stack = np.asarray([key(c) for c in kept])
+            streak = 0
+    return kept, draws
+
+
+def _cos_sep(alpha):
+    return math.cos(0.9 * math.acos(direction_net_beta(alpha)))
+
+
+def _per_draw(space, rng, rejection_streak):
+    """Kept frames or directions as lists, and the number of draws."""
+    if space[0] == "plane":
+        _, n, m, alpha = space
+        sep = 0.9 * alpha / 2.0
+        kept, draws = _per_draw_pack(
+            lambda: random_subspace(n, m, rng), lambda V: V.frame,
+            lambda V, frames: np.min(geometry._sine_distances(V, frames)) < sep,
+            rejection_streak)
+        return [V.frame.tolist() for V in kept], draws
+    _, n, alpha = space
+    cos_sep = _cos_sep(alpha)
+    kept, draws = _per_draw_pack(
+        lambda: random_unit_vectors(n, 1, rng)[0], lambda u: u,
+        lambda u, kept_dirs: np.max(kept_dirs @ u) >= cos_sep, rejection_streak)
+    return np.asarray(kept).tolist(), draws
+
+
+def _chunked(space, rng, rejection_streak):
+    if space[0] == "plane":
+        _, n, m, alpha = space
+        # build_subspace_net draws from default_rng(seed); the tests pass seed 0
+        assert rng is None
+        net = build_subspace_net(n, m, alpha, seed=0, rejection_streak=rejection_streak)
+        for W in net.planes:
+            owner = W.frame
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.size == W.frame.size  # a copy, not a view of a chunk
+        return [W.frame.tolist() for W in net.planes]
+    _, n, alpha = space
+    return np.asarray(geometry._pack_directions(n, _cos_sep(alpha), rng,
+                                                rejection_streak)).tolist()
+
+
+PACK_SPACES = {
+    "G21": ("plane", 2, 1, 0.5),
+    "G31": ("plane", 3, 2, 0.9),
+    "G32": ("plane", 3, 1, 0.9),
+    "S2": ("sphere", 3, 0.9),
+    "S3": ("sphere", 4, 0.95),
+}
+
+
+def _same_as_per_draw(space, rejection_streak):
+    want, draws = _per_draw(space, np.random.default_rng(0), rejection_streak)
+    rng = None if space[0] == "plane" else np.random.default_rng(0)
+    assert _chunked(space, rng, rejection_streak) == want
+    return draws
+
+
+# streaks that end inside the first chunk and in later chunks
+@pytest.mark.parametrize("streak", [1, 50, geometry._CHUNK - 1, geometry._CHUNK,
+                                    geometry._CHUNK + 1, 2000])
+@pytest.mark.parametrize("space", sorted(PACK_SPACES))
+def test_chunked_packer_keeps_the_per_draw_elements(space, streak):
+    _same_as_per_draw(PACK_SPACES[space], streak)
+
+
+@pytest.mark.parametrize("space", sorted(PACK_SPACES))
+def test_chunked_packer_stops_on_and_after_a_chunk_boundary(space, monkeypatch):
+    # with the chunk as long as the per-draw loop's draws, the stop falls on
+    # the last candidate of the first chunk; one shorter, on the first
+    # candidate of the second; with chunks of one, every draw is a chunk
+    draws = _same_as_per_draw(PACK_SPACES[space], 50)
+    for chunk in (draws, draws - 1, 1):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        _same_as_per_draw(PACK_SPACES[space], 50)
+
+
+@pytest.mark.parametrize("space", sorted(PACK_SPACES))
+def test_near_tie_fallback_keeps_the_per_draw_elements(space, monkeypatch):
+    # a tie bound this wide sends every candidate after the first to the
+    # per-candidate expression
+    monkeypatch.setattr(geometry, "_TIE", 10.0)
+    _same_as_per_draw(PACK_SPACES[space], 50)
+
+
+class _ZeroRows:
+    """Generator stand-in: the normals of default_rng(seed), with the rows of
+    n values whose indices are in zero_rows set to zero."""
+
+    def __init__(self, seed, n, zero_rows):
+        self._rng = np.random.default_rng(seed)
+        self._n = n
+        self._zero_rows = zero_rows
+        self._used = 0
+
+    def standard_normal(self, shape):
+        x = self._rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        for row in self._zero_rows:
+            i = row * self._n - self._used
+            if 0 <= i < flat.size:
+                flat[i:i + self._n] = 0.0
+        self._used += flat.size
+        return x
+
+
+@pytest.mark.parametrize("streak", [1, 2000])
+@pytest.mark.parametrize("space", ["S2", "S3"])
+def test_degenerate_direction_draws_are_skipped_as_the_resample_did(space, streak):
+    # random_unit_vectors resamples a zero row from the next n normals; rows
+    # 0 and 1 make the first draw resample twice, rows _CHUNK - 1 and _CHUNK
+    # straddle the first chunk boundary (streak 2000 draws past it)
+    n = PACK_SPACES[space][1]
+    rows = (0, 1, 4, geometry._CHUNK - 1, geometry._CHUNK)
+    want, draws = _per_draw(PACK_SPACES[space], _ZeroRows(0, n, rows), streak)
+    got = _chunked(PACK_SPACES[space], _ZeroRows(0, n, rows), streak)
+    assert got == want
+    assert np.all(np.isfinite(got))
+    if streak == 2000:
+        assert draws > geometry._CHUNK
+
+
+def _bend_first_chunk(monkeypatch, index):
+    """Scale candidate index of the first stacked QR by 1 + 1e-6, so that its
+    frame fails the orthonormality check by about 2e-6."""
+    real_qr = np.linalg.qr
+    calls = []
+
+    def qr(a, *args, **kwargs):
+        q, r = real_qr(a, *args, **kwargs)
+        if q.ndim == 3 and not calls:
+            q = q.copy()
+            q[index] *= 1.0 + 1e-6
+        calls.append(a.shape)
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+
+
+def test_rejected_candidate_still_fails_the_orthonormality_check(monkeypatch):
+    # with streak 1 the per-draw loop stops at its first rejection, draw
+    # number `draws`: that candidate is drawn and checked, the next is not
+    _, draws = _per_draw(PACK_SPACES["G21"], np.random.default_rng(0), 1)
+    with monkeypatch.context() as patch:
+        _bend_first_chunk(patch, draws - 1)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            build_subspace_net(2, 1, 0.5, seed=0, rejection_streak=1)
+    _bend_first_chunk(monkeypatch, draws)
+    want = build_subspace_net(2, 1, 0.5, seed=0, rejection_streak=1)
+    assert len(want.planes) == draws - 1
+
+
+NET_BAD_INTEGERS = {
+    "streak-zero": lambda: build_subspace_net(2, 1, 0.5, rejection_streak=0),
+    "streak-fractional": lambda: build_subspace_net(2, 1, 0.5, rejection_streak=2.5),
+    "streak-bool": lambda: build_subspace_net(2, 1, 0.5, rejection_streak=True),
+    "m-bool": lambda: build_subspace_net(2, True, 0.5),
+    "m-float": lambda: build_subspace_net(2, 1.0, 0.5),
+    "n-bool": lambda: build_subspace_net(True, 0, 0.5),
+    "n-float": lambda: build_subspace_net(2.0, 1, 0.5),
+    "dir-n-bool": lambda: build_direction_net(True, 0.5),
+    "dir-n-float": lambda: build_direction_net(3.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NET_BAD_INTEGERS.values(), ids=NET_BAD_INTEGERS.keys())
+def test_net_builders_refuse_non_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_net_builders_take_numpy_integers():
+    def frames(net):
+        return [W.frame.tolist() for W in net.planes]
+
+    two, one, fifty = np.int64(2), np.int64(1), np.int64(50)
+    assert (frames(build_subspace_net(two, one, 0.5, rejection_streak=fifty))
+            == frames(build_subspace_net(2, 1, 0.5, rejection_streak=50)))
+    assert (build_direction_net(np.int64(3), 0.9).directions.tolist()
+            == build_direction_net(3, 0.9).directions.tolist())

@@ -173,9 +173,11 @@ KADIC_BAD_INPUT = {
     "point-matrix": lambda: address_of_point(lebesgue_tree(1), [[0.3]], 2),
     "depth-negative": lambda: address_of_point(lebesgue_tree(1), [0.3], -1),
     "depth-fractional": lambda: address_of_point(lebesgue_tree(1), [0.3], 2.5),
+    "depth-bool": lambda: address_of_point(lebesgue_tree(1), [0.3], True),
     "sample-depth-negative": lambda: lebesgue_tree(2).sample_points(2, -1, seed=0),
     "sample-depth-fractional": lambda: lebesgue_tree(2).sample_points(2, 2.5, seed=0),
     "sample-count-fractional": lambda: lebesgue_tree(2).sample_points(2.5, 3, seed=0),
+    "sample-count-bool": lambda: lebesgue_tree(2).sample_points(True, 3, seed=0),
     "branch-depth-negative": lambda: lebesgue_tree(2).sample_branch(np.random.default_rng(0), -1),
     "branch-depth-fractional": lambda: lebesgue_tree(2).sample_branch(
         np.random.default_rng(0), 2.5),

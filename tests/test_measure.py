@@ -248,7 +248,7 @@ def test_query_validation():
         RegionQuery(ball=Ball(np.zeros(2), 0.0))
     tree = lebesgue_tree(1)
     query = RegionQuery(ball=Ball(np.array([0.5]), 0.1))
-    for depth in (-1, 2.5):
+    for depth in (-1, 2.5, True):
         with pytest.raises(ValueError, match="depth_budget"):
             region_measure(tree, query, depth)
     assert region_measure(tree, query, np.int64(3)) == region_measure(tree, query, 3)
