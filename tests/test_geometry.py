@@ -274,10 +274,10 @@ def _per_draw(space, rng, rejection_streak):
 
 
 def _chunked(space, rng, rejection_streak):
+    """Kept frames or directions as lists; planes are drawn from
+    default_rng(0), directions from rng."""
     if space[0] == "plane":
         _, n, m, alpha = space
-        # build_subspace_net draws from default_rng(seed); the tests pass seed 0
-        assert rng is None
         net = build_subspace_net(n, m, alpha, seed=0, rejection_streak=rejection_streak)
         for W in net.planes:
             owner = W.frame
@@ -301,8 +301,7 @@ PACK_SPACES = {
 
 def _same_as_per_draw(space, rejection_streak):
     want, draws = _per_draw(space, np.random.default_rng(0), rejection_streak)
-    rng = None if space[0] == "plane" else np.random.default_rng(0)
-    assert _chunked(space, rng, rejection_streak) == want
+    assert _chunked(space, np.random.default_rng(0), rejection_streak) == want
     return draws
 
 
