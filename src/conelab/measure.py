@@ -8,7 +8,6 @@ lies inside the query, and in `hi` unless it provably lies outside.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -100,16 +99,18 @@ class MeasureInterval:
 
 
 class _Shape:
-    """Extent of a Box node on Python floats: ext is its half-widths as a
-    tuple, and rho its bounding radius once a cone query needed it.
-    Siblings with equal half-widths share one _Shape, and so their bounding
-    radius."""
+    """Extent of a Box node: half its read-only half-width array, ext the
+    same half-widths as a tuple of floats, and rho its bounding radius by
+    Box.bounding_radius's expression. The children of one k-adic cube, and
+    every cube of one side, share one _Shape; so do Box siblings of any
+    other tree whose half-widths are equal."""
 
-    __slots__ = ("ext", "rho")
+    __slots__ = ("half", "ext", "rho")
 
-    def __init__(self, ext):
-        self.ext = ext
-        self.rho = None
+    def __init__(self, half):
+        self.half = half
+        self.ext = tuple(half.tolist())
+        self.rho = math.sqrt(half.dot(half))
 
 
 class _Node:
@@ -118,31 +119,41 @@ class _Node:
     region is the node's region, kids its child records once the node was
     first expanded. For a Box region, c is the center as a float tuple and
     shape the node's _Shape; any other region has neither and is classified
-    by the numpy reference. Everything else a Box record keeps belongs to
-    qc, the last ball-query center it was classified against: dmin and dmax
-    its distance bounds to qc, d and nd its offset from qc and the offset's
-    norm once a cone query at qc needed them (else d is None), and pv the
-    verdict of the plane cone row alone under the plane key pk, (frame
-    rows, opening), of the last plane-cone query at qc that decided it.
-    A change of qc resets d and pk.
+    by the numpy reference. A k-adic record is built from c and shape
+    alone, and makes its Box region the first time it is read. Everything
+    else a Box record keeps belongs to qc, the last ball-query center it
+    was classified against: dmin and dmax its distance bounds to qc, d and
+    nd its offset from qc and the offset's norm once a cone query at qc
+    needed them (else d is None), and pv the verdict of the plane cone row
+    alone under the plane key pk, (frame rows, opening), of the last
+    plane-cone query at qc that decided it. A change of qc resets d and pk.
     """
 
-    __slots__ = ("region", "c", "shape", "kids", "qc", "dmin", "dmax",
+    __slots__ = ("_region", "c", "shape", "kids", "qc", "dmin", "dmax",
                  "pk", "pv", "d", "nd")
 
-    def __init__(self, region, sibling: _Node | None = None):
-        self.region = region
+    def __init__(self, region, sibling: _Node | None = None, c=None, shape=None):
+        self._region = region
         self.kids = self.qc = self.dmin = self.dmax = None
+        if region is None:  # a k-adic record
+            self.c, self.shape = c, shape
+            return
         if not isinstance(region, Box):
             self.c = self.shape = None
             return
-        ext = tuple(region.half.tolist())
         self.c = tuple(region.center.tolist())
         if (sibling is not None and type(sibling.region) is type(region)
-                and sibling.shape.ext == ext):
+                and sibling.shape.ext == tuple(region.half.tolist())):
             self.shape = sibling.shape
         else:
-            self.shape = _Shape(ext)
+            self.shape = _Shape(region.half)
+
+    @property
+    def region(self):
+        region = self._region
+        if region is None:
+            region = self._region = Box(np.array(self.c), self.shape.half)
+        return region
 
 
 class MeasureTree:
@@ -163,6 +174,13 @@ class MeasureTree:
     subcubes enumerated row-major, or None for any other hierarchy. Children
     of a Ball region are checked to stay inside it, and raise ResourceGuard
     once their radius is within the rounding of their coordinates.
+
+    A tree made by kadic_tree builds its child records from the parent
+    record's floats, by the same float helper as its child_fn, so they
+    hold the centers and half-widths that child_fn returns, bit for bit,
+    and make their Box regions only when read. A tree given any other
+    child_fn, k-adic or not, builds every child record from child_fn's
+    region.
     """
 
     def __init__(self, root_region, weights_fn, child_fn, k: int | None = None):
@@ -170,6 +188,7 @@ class MeasureTree:
         self.k = k
         self._weights_fn = weights_fn
         self._child_fn = child_fn
+        self._kadic = child_fn if isinstance(child_fn, _KadicChildren) else None
         self._weights: dict[int, tuple] = {}
         self._cdfs: dict[int, list] = {}
         self._root = _Node(root_region)
@@ -208,10 +227,14 @@ class MeasureTree:
         """Child records of a level - 1 node, built on its first expansion."""
         kids = node.kids
         if kids is None:
-            kids, kid = [], None
-            for i in range(len(self.weights(level))):
-                kid = _Node(self.child(node.region, level, i), kid)
-                kids.append(kid)
+            count = len(self.weights(level))
+            if self._kadic is not None:
+                kids = self._kadic.records(node, level, count)
+            else:
+                kids, kid = [], None
+                for i in range(count):
+                    kid = _Node(self.child(node.region, level, i), kid)
+                    kids.append(kid)
             node.kids = kids
         return kids
 
@@ -455,7 +478,7 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     that compare equal share all of it, also where a coordinate is 0.0 in
     one and -0.0 in the other: their offsets differ at most in the sign of
     a zero coordinate, which no norm, product sum or comparison here can
-    tell apart. The bounding radius is computed once a cone query needs it.
+    tell apart. The bounding radius is the node's _Shape's.
     """
     shape = node.shape
     if shape is None or query.ball is None:
@@ -490,8 +513,6 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     if not query.cones:
         return verdict
     rho = shape.rho
-    if rho is None:
-        rho = shape.rho = node.region.bounding_radius
     d = node.d
     if d is None:
         d = node.d = [ci - qi for ci, qi in zip(c, qc)]
@@ -582,41 +603,87 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
 # k-adic cube trees
 
 
+class _KadicChildren:
+    """child_fn of kadic_tree, and the builder of its child records.
+
+    centers holds the one float expression and resolution guard of a
+    k-adic child; __call__ wraps a center in a Box, and records makes the
+    records of the children of a node from its record's floats. Every cube
+    of one side shares one _Shape, so one read-only half-width array.
+    """
+
+    __slots__ = ("n", "k", "shapes")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.shapes: dict[float, _Shape] = {}
+
+    def shape(self, h: float) -> _Shape:
+        shape = self.shapes.get(h)
+        if shape is None:
+            half = np.array([h] * self.n)
+            half.flags.writeable = False
+            shape = self.shapes[h] = _Shape(half)
+        return shape
+
+    def centers(self, pc, ph, level: int, idxs) -> tuple:
+        """(h, centers) of the children idxs of the cube with center pc and
+        half-widths ph (float sequences): the half-width of a child, and
+        the center of each as a float tuple.
+
+        A center is cube(pc - ph + offset * side, side)'s, computed on
+        Python floats, which round as numpy's elementwise operations do;
+        along each axis there are k coordinates, and the children take
+        them row-major. A child whose half-width is at most the rounding
+        bound of its coordinates raises ResourceGuard, as a ball child does
+        in MeasureTree.child; the first such child in idxs raises.
+        """
+        side = 2.0 * ph[0] / self.k
+        h = 0.5 * side
+        axes = [[ci - w + o * side + h for o in range(self.k)] for ci, w in zip(pc, ph)]
+        grid = list(itertools.product(*axes))
+        out = [grid[idx] for idx in idxs]
+        top = max(map(abs, pc))
+
+        def refused(c_max):
+            # the sums round by a few ulps of the largest coordinate, as in
+            # MeasureTree.child's bound for a ball child
+            return h <= 8.0 * _U * (c_max + top + ph[0])
+
+        # the bound rounds monotonically in c_max, so no child is refused
+        # unless one with the largest coordinate of all would be
+        if refused(max(map(abs, itertools.chain(*axes)))):
+            for idx, c in zip(idxs, out):
+                if refused(max(map(abs, c))):
+                    raise ResourceGuard(f"child {idx} at level {level} has a half-width "
+                                        "below the resolution of its coordinates")
+        return h, out
+
+    def __call__(self, region, level: int, idx: int) -> Box:
+        h, (c,) = self.centers(region.center.tolist(), region.half.tolist(), level, (idx,))
+        return Box(np.array(c), self.shape(h).half)
+
+    def records(self, node: _Node, level: int, count: int) -> list:
+        """Records of the first count children of a node's record."""
+        h, centers = self.centers(node.c, node.shape.ext, level, range(count))
+        shape = self.shape(h)
+        return [_Node(None, None, c, shape) for c in centers]
+
+
 def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
     """k-adic cube tree on [0,1)^n.
 
     weights_fn(level) gives the conditional weights of the k^n children of
     every level - 1 cube, enumerated row-major over axis indices (level is
-    1-based for the children being generated). Every cube of one side
-    shares one read-only half-width array. A child whose half-width is at
-    most the rounding bound of its coordinates raises ResourceGuard, as a
-    ball child does in MeasureTree.child.
+    1-based for the children being generated). A child whose half-width is
+    at most the rounding bound of its coordinates raises ResourceGuard, as
+    a ball child does in MeasureTree.child. The tree builds its node
+    records on floats, and every cube of one side shares one read-only
+    half-width array (see _KadicChildren).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    offsets = list(itertools.product(range(k), repeat=n))
-
-    @functools.cache
-    def shared_half(h):
-        half = np.array([h] * n)
-        half.flags.writeable = False
-        return half
-
-    def child_fn(region, level, idx):
-        # cube(center - half + offset * side, side) on Python floats, which
-        # round as numpy's elementwise operations do
-        pc, ph = region.center.tolist(), region.half.tolist()
-        side = float(2.0 * region.half[0]) / k
-        h = 0.5 * side
-        c = [ci - w + o * side + h for ci, w, o in zip(pc, ph, offsets[idx])]
-        # the sums round by a few ulps of the largest coordinate, as in
-        # MeasureTree.child's bound for a ball child
-        if h <= 8.0 * _U * (max(map(abs, c)) + max(map(abs, pc)) + ph[0]):
-            raise ResourceGuard(f"child {idx} at level {level} has a half-width below "
-                                "the resolution of its coordinates")
-        return Box(np.array(c), shared_half(h))
-
-    return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, child_fn, k=k)
+    return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, _KadicChildren(n, k), k=k)
 
 
 def lebesgue_tree(n: int, k: int = 2) -> MeasureTree:

@@ -262,16 +262,29 @@ def test_no_unread_parameters():
 
 def perfbench_names(sources: dict, modules: set) -> list:
     """(module, name) of every conelab name that the benchmark sources reach
-    by name: attributes read off a conelab module, names imported from one,
-    and the "module.name" entries of run.py's TREE_METHODS (MeasureTree
-    methods) and LAYER_FUNCTIONS, which it wraps through getattr."""
+    by name: attributes read off a name that the same file binds to a
+    conelab module by import (`from conelab import X` or
+    `import conelab.X as X`), names imported from a conelab module, and the
+    "module.name" entries of run.py's TREE_METHODS (MeasureTree methods)
+    and LAYER_FUNCTIONS, which it wraps through getattr. Any other name,
+    such as a local variable that shares a module's name, is not read as a
+    module."""
     found = set()
     for mod, src in sources.items():
         tree = ast.parse(src)
+        bound = {}  # local name -> the conelab module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "conelab":
+                bound.update((alias.asname or alias.name, alias.name)
+                             for alias in node.names if alias.name in modules)
+            elif isinstance(node, ast.Import):
+                bound.update((alias.asname, alias.name[8:]) for alias in node.names
+                             if alias.asname and alias.name[8:] in modules
+                             and alias.name.startswith("conelab."))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in modules):
-                found.add((node.value.id, node.attr))
+                    and node.value.id in bound):
+                found.add((bound[node.value.id], node.attr))
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("conelab."):
                 found.update((node.module[8:], alias.name) for alias in node.names)
         if mod != "run.py":
@@ -292,11 +305,22 @@ def test_perfbench_names_checker_reads_every_form():
                    "LAYER_FUNCTIONS = ('cli._parallel',)\n"
                    "def f(tree):\n"
                    "    return measure._classify(tree, measure)\n"),
-        "check.py": "from conelab.density import worst_cone_ratio\n",
+        "check.py": ("from conelab.density import worst_cone_ratio\n"
+                     "import conelab.geometry as geometry\n"
+                     "def g():\n"
+                     "    from conelab import cli as front\n"
+                     "    return front.main, geometry.build_direction_net\n"),
+        # a local dict that shares a module's name is not that module
+        "local.py": ("import conelab\n"
+                     "checks = {'a': 1}\n"
+                     "density = 2.0\n"
+                     "def h():\n"
+                     "    return checks.items(), density.real, conelab.__version__\n"),
     }
-    assert perfbench_names(sources, {"measure", "density"}) == [
-        ("cli", "_parallel"), ("density", "worst_cone_ratio"),
-        ("measure", "_classify"), ("measure.MeasureTree", "children")]
+    assert perfbench_names(sources, {"measure", "density", "geometry", "cli", "checks"}) == [
+        ("cli", "_parallel"), ("cli", "main"), ("density", "worst_cone_ratio"),
+        ("geometry", "build_direction_net"), ("measure", "_classify"),
+        ("measure.MeasureTree", "children")]
 
 
 def test_every_name_perfbench_reaches_exists():

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conelab import measure
-from conelab.constructions import (binomial_tree, rotating_ball_tree,
-                                   strip_block_tree)
+from conelab.constructions import (binomial_tree, constant_binomial_tree,
+                                   rotating_ball_tree, strip_block_tree)
 from conelab.density import worst_cone_ratio
 from conelab.geometry import Subspace, build_direction_net, build_subspace_net
 from conelab.homogeneity import doubling_constant, doubling_frequency
@@ -95,6 +95,11 @@ def test_one_child_walks_build_one_child_per_level():
     tree.node((1, 0, 1, 1))
     address_of_point(tree, [0.3], 5)
     assert built == [1, 2, 3, 4, 1, 2, 3, 4, 5]
+    # a tree given its own child_fn, k-adic or not, walks that function's
+    # regions: its records are built from them, two children a node
+    del built[:]
+    region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 4)
+    assert sorted(set(built)) == [1, 2, 3, 4] and len(built) % 2 == 0
 
 
 def _two_ball_tree(child_radius, parent_radius=1.0):
@@ -128,11 +133,16 @@ def test_kadic_tree_refuses_children_below_coordinate_resolution():
     tree.node((0,) * 64)
     with pytest.raises(measure.ResourceGuard, match="level 49"):
         lebesgue_tree(2).node((3,) * 49)
-    # a ball whose boundary lies 2^-52 inside 1 is refined there to the budget
+    # a ball whose boundary lies 2^-52 inside 1 is refined there to the
+    # budget; its walk expands the level-48 cube next to 1, whose first
+    # child is refused as node((1,) * 48 + (0,)) is
     query = RegionQuery(ball=Ball(np.array([0.5]), 0.5 - 2.0 ** -52))
     assert region_measure(tree, query, 48).depth_used == 48
-    with pytest.raises(measure.ResourceGuard):
-        region_measure(tree, query, 49)
+    for walked in (tree, lebesgue_tree(1)):
+        with pytest.raises(measure.ResourceGuard, match="child 0 at level 49"):
+            region_measure(walked, query, 49)
+    with pytest.raises(measure.ResourceGuard, match="child 0 at level 49"):
+        tree.node((1,) * 48 + (0,))
 
 
 def test_node_and_branch_fan():
@@ -160,6 +170,77 @@ def test_children_memoized_identity():
     first, again = tree.children((0,)), tree.children((0,))
     assert len(first) == 4
     assert all(a[0] is b[0] and a[1] == b[1] for a, b in zip(first, again))
+
+
+def test_children_regions_are_child_regions_with_the_shared_half():
+    for tree, addr in [(lebesgue_tree(2), (1, 2)), (lebesgue_tree(3, k=3), (26, 4)),
+                       (binomial_tree(), (0, 1, 1, 0, 1))]:
+        parent, _ = tree.node(addr)
+        kids = tree.children(addr)
+        for idx, (region, _) in enumerate(kids):
+            child = tree.child(parent, len(addr) + 1, idx)
+            assert region.center.tolist() == child.center.tolist()
+            assert region.half is child.half is kids[0][0].half
+            assert not region.half.flags.writeable
+
+
+def _built_records(tree):
+    """(address, record) of every node record the tree has built so far."""
+    found, stack = [], [((), tree._root)]
+    while stack:
+        addr, node = stack.pop()
+        found.append((addr, node))
+        stack += [(addr + (i,), kid) for i, kid in enumerate(node.kids or ())]
+    return found
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("make,x,r,depth", [
+    (lambda: lebesgue_tree(1), [0.3817], 0.1234, 24),
+    (lambda: lebesgue_tree(2), [0.43, 0.57], 0.1, 9),
+    (lambda: lebesgue_tree(3, k=3), [0.41, 0.52, 0.37], 0.2, 4),
+    (binomial_tree, [0.6180], 0.01, 30),
+    (lambda: constant_binomial_tree(0.3), [0.2718], 0.05, 30),
+], ids=["lebesgue-1", "lebesgue-2", "lebesgue-3-k3", "binomial", "constant-binomial"])
+def test_walked_records_are_node_regions_bit_for_bit(make, x, r, depth):
+    tree = make()
+    region_measure(tree, RegionQuery(ball=Ball(np.array(x), r)), depth)
+    records = _built_records(tree)
+    assert len(records) > 90
+    rng = np.random.default_rng(17)
+    deepest = max(records, key=lambda item: len(item[0]))
+    k, n = tree.k, tree.ambient_dim
+    for i in [*rng.integers(len(records), size=60)]:
+        addr, node = records[i]
+        region, _ = make().node(addr)
+        # cube(origin, side) on numpy arrays, level by level
+        center, half = tree.root_region.center, tree.root_region.half
+        for idx in addr:
+            side = float(2.0 * half[0]) / k
+            offset = np.array(np.unravel_index(idx, (k,) * n))
+            center, half = center - half + offset * side + 0.5 * side, np.full(n, 0.5 * side)
+        assert _bits(node.c) == _bits(region.center) == _bits(center)
+        assert _bits(node.shape.ext) == _bits(region.half) == _bits(half)
+        assert _bits(node.region.center) == _bits(region.center)
+        assert node.region.half.tolist() == region.half.tolist()
+    assert len(deepest[0]) == depth
+
+
+def test_ball_walk_without_near_ties_builds_no_numpy_region(monkeypatch):
+    tree, calls = lebesgue_tree(2), []
+    reference = measure._classify_reference
+    monkeypatch.setattr(measure, "_classify_reference",
+                        lambda region, q: calls.append(1) or reference(region, q))
+    iv = region_measure(tree, RegionQuery(ball=Ball(np.array([0.43, 0.57]), 0.1)), 9)
+    assert iv.lo <= math.pi * 0.01 <= iv.hi and calls == []
+    records = _built_records(tree)
+    assert len(records) > 1000
+    assert all(node._region is None for addr, node in records if addr)
+    region = records[-1][1].region  # made when first read, then kept
+    assert region is records[-1][1].region
 
 
 def test_address_of_point_roundtrip():
