@@ -209,11 +209,10 @@ def test_walked_records_are_node_regions_bit_for_bit(make, x, r, depth):
     tree = make()
     region_measure(tree, RegionQuery(ball=Ball(np.array(x), r)), depth)
     records = _built_records(tree)
-    assert len(records) > 90
+    assert len(records) > 90 and max(len(addr) for addr, _ in records) == depth
     rng = np.random.default_rng(17)
-    deepest = max(records, key=lambda item: len(item[0]))
     k, n = tree.k, tree.ambient_dim
-    for i in [*rng.integers(len(records), size=60)]:
+    for i in rng.integers(len(records), size=60):
         addr, node = records[i]
         region, _ = make().node(addr)
         # cube(origin, side) on numpy arrays, level by level
@@ -226,7 +225,6 @@ def test_walked_records_are_node_regions_bit_for_bit(make, x, r, depth):
         assert _bits(node.shape.ext) == _bits(region.half) == _bits(half)
         assert _bits(node.region.center) == _bits(region.center)
         assert node.region.half.tolist() == region.half.tolist()
-    assert len(deepest[0]) == depth
 
 
 def test_ball_walk_without_near_ties_builds_no_numpy_region(monkeypatch):
