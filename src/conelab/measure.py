@@ -127,6 +127,8 @@ class _Node:
     needed them (else d is None), and pv the verdict of the plane cone row
     alone under the plane key pk, (frame rows, opening), of the last
     plane-cone query at qc that decided it. A change of qc resets d and pk.
+    Only the DFS of region_measure builds and reads records; the level walk
+    classifies whole levels of a k-adic tree on arrays and builds none.
     """
 
     __slots__ = ("_region", "c", "shape", "kids", "qc", "dmin", "dmax",
@@ -180,7 +182,9 @@ class MeasureTree:
     hold the centers and half-widths that child_fn returns, bit for bit,
     and make their Box regions only when read. A tree given any other
     child_fn, k-adic or not, builds every child record from child_fn's
-    region.
+    region. region_measure walks a kadic_tree tree without records when a
+    ball query is wide (see LEVEL_WALK_WIDTH), so such walks leave the
+    records as they were.
     """
 
     def __init__(self, root_region, weights_fn, child_fn, k: int | None = None):
@@ -564,6 +568,140 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     return verdict
 
 
+def _column_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the columns of terms, from 0.0 and left to right, as the
+    scalar loops of _classify add their terms."""
+    s = 0.0
+    for i in range(terms.shape[1]):
+        s = s + terms[:, i]
+    return s
+
+
+def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np.ndarray:
+    """_classify's verdicts for the Box nodes whose centers are the rows of
+    centers and whose extent is shape, under a ball query: the same float
+    expressions, term by term and in the same order, on numpy arrays, whose
+    elementwise operations round as Python's do. A row whose node is a near
+    tie takes _classify_reference's verdict, as in _classify. Nothing is
+    read from or stored in a record."""
+    qc, qext, tol, tiny, _ = query.floats
+    g = np.abs(centers - qc)  # Box.dist_bounds; a lo <= 0 adds 0.0
+    lo, hi = np.maximum(g - shape.half, 0.0), g + shape.half
+    dmin, dmax = np.sqrt(_column_sum(lo * lo)), np.sqrt(_column_sum(hi * hi))
+    e = tol * (dmax + qext) + tiny
+    t = dmax - qext
+    inside = t <= 0.0
+    tie = ~(np.abs(t) >= e)
+    t = dmin - qext
+    tie |= ~inside & ~(np.abs(t) >= e)
+    outside = ~inside & (t > 0.0)
+    verdict = np.where(inside, _INSIDE, np.where(outside, _OUTSIDE, _UNDECIDED))
+    live = ~tie & ~outside
+    if query.cones and live.any():
+        rho = shape.rho
+        d = centers - qc
+        nd = np.sqrt(_column_sum(d * d))
+        e = tol * 2.0 * nd + tiny
+        for plane, _, a, excluded, vecs in query.cones:
+            if plane:  # a |d| - |d - F^T F d|, F the frame rows
+                p = 0.0
+                for row in vecs:
+                    p = p + np.multiply.outer(_column_sum(d * row), row)
+                x = d - p
+                value = a * nd - np.sqrt(_column_sum(x * x))
+            else:
+                value = _column_sum(d * vecs) - a * nd
+            margin = (1.0 + a) * rho
+            t = value - margin
+            v_in = t > 0.0
+            row_tie = ~(np.abs(t) >= e)
+            t = value + margin
+            v_out = ~v_in & (t <= 0.0)
+            row_tie |= ~v_in & ~(np.abs(t) >= e)
+            tie |= live & row_tie
+            live &= ~row_tie
+            verdict[live & ~v_in & ~v_out] = _UNDECIDED
+            out = live & (v_in if excluded else v_out)
+            verdict[out] = _OUTSIDE
+            live &= ~out
+    for i in np.flatnonzero(tie):
+        verdict[i] = _classify_reference(Box(np.array(centers[i]), shape.half), query)
+    return verdict
+
+
+# The level walk serves a ball query on a kadic_tree tree without early stop
+# once the predicted width of the boundary frontier at the budget, (r k^D /
+# root side)^(n - 1), reaches this; below it the DFS over records kept warm
+# is as fast or faster (README "Measure trees" gives the measured crossover).
+LEVEL_WALK_WIDTH = 64.0
+# the level walk's sort keys hold one base-k^n digit per level in an int64
+_KEY_LIMIT = 2 ** 62
+
+
+def _takes_level_walk(tree: MeasureTree, query: RegionQuery, depth_budget: int,
+                      early_stop_lo) -> bool:
+    kadic = tree._kadic
+    if (kadic is None or kadic.n == 1 or query.ball is None
+            or early_stop_lo is not None):
+        return False
+    n, k = kadic.n, kadic.k
+    side = 2.0 * float(tree.root_region.half[0])
+    log_width = (n - 1) * (math.log(query.floats[1]) + depth_budget * math.log(k)
+                           - math.log(side))
+    return (log_width >= math.log(LEVEL_WALK_WIDTH) and depth_budget <= 62
+            and (k ** n) ** depth_budget <= _KEY_LIMIT)
+
+
+def _level_walk(tree: MeasureTree, query: RegionQuery, depth_budget: int):
+    """The DFS's MeasureInterval, walked one level at a time on arrays.
+
+    Each level's frontier is classified by _classify_rows and its undecided
+    nodes are expanded by _KadicChildren.center_rows; child masses are the
+    DFS's products, parent mass times weight. The DFS pops the children of a
+    node in descending index order, so its pop order is the ascending order
+    of the address key whose base-k^n digit at each level is k^n - 1 - idx,
+    padded to the budget. The masses of the inside and budget leaves are
+    summed sequentially in that order, as the DFS adds them. Returns None,
+    for the DFS to take over, at a level whose weights are not one per
+    child or where the resolution guard refuses a child, so that the DFS
+    raises its own ResourceGuard. Builds no record.
+    """
+    kadic = tree._kadic
+    n_kids = kadic.k ** kadic.n
+    digits = np.arange(n_kids - 1, -1, -1, dtype=np.int64)
+    root = tree._root
+    centers, shape = np.array([root.c]), root.shape
+    mass, key = np.ones(1), np.zeros(1, dtype=np.int64)
+    leaves = []  # (keys, masses, inside) of each level's leaves
+    depth = 0
+    while True:
+        verdict = _classify_rows(centers, shape, query)
+        inside = verdict == _INSIDE
+        undecided = verdict == _UNDECIDED
+        leaf = inside | undecided if depth >= depth_budget else inside
+        leaves.append((key[leaf], mass[leaf], inside[leaf]))
+        if depth >= depth_budget or not undecided.any():
+            break
+        level = depth + 1
+        weights = tree.weights(level)
+        if len(weights) != n_kids:
+            return None
+        got = kadic.center_rows(centers[undecided], shape.ext)
+        if got is None:
+            return None
+        h, centers = got
+        shape = kadic.shape(h)
+        mass = (mass[undecided][:, None] * np.array(weights)).ravel()
+        key = (key[undecided][:, None] + digits * n_kids ** (depth_budget - level)).ravel()
+        depth = level
+    keys, masses, inside = (np.concatenate(part) for part in zip(*leaves))
+    order = np.argsort(keys)
+    masses, inside = masses[order], inside[order]
+    lo, hi = masses[inside].cumsum(), masses.cumsum()
+    return MeasureInterval(float(lo[-1]) if len(lo) else 0.0,
+                           float(hi[-1]) if len(hi) else 0.0, depth)
+
+
 def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
                    early_stop_lo: float | None = None) -> MeasureInterval:
     """Certified enclosure of mu(query) by recursive node classification.
@@ -571,10 +709,27 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
     Nodes undecided at the depth budget contribute to `hi` only. If
     early_stop_lo is given, refinement stops once lo exceeds it; the
     remaining undecided mass is folded into `hi`, keeping the enclosure sound.
+
+    Two walks give the same (lo, hi, depth_used) bit for bit. The DFS
+    (_dfs) classifies node records, keeps them and their caches for the life
+    of the tree, and serves every query on every tree. A ball query on a
+    tree built by kadic_tree, without early stop, whose predicted frontier
+    width reaches LEVEL_WALK_WIDTH, takes the level walk (_level_walk)
+    instead, which builds no record.
     """
     require_int(depth_budget, "depth_budget", 0)
     if len(query.center) != tree.ambient_dim:
         raise ValueError("query and tree differ in dimension")
+    if _takes_level_walk(tree, query, int(depth_budget), early_stop_lo):
+        got = _level_walk(tree, query, int(depth_budget))
+        if got is not None:
+            return got
+    return _dfs(tree, query, depth_budget, early_stop_lo)
+
+
+def _dfs(tree: MeasureTree, query: RegionQuery, depth_budget: int,
+         early_stop_lo: float | None) -> MeasureInterval:
+    """region_measure by a depth-first walk of the tree's node records."""
     lo = 0.0
     hi = 0.0
     depth_used = 0
@@ -608,8 +763,10 @@ class _KadicChildren:
 
     centers holds the one float expression and resolution guard of a
     k-adic child; __call__ wraps a center in a Box, and records makes the
-    records of the children of a node from its record's floats. Every cube
-    of one side shares one _Shape, so one read-only half-width array.
+    records of the children of a node from its record's floats. center_rows
+    is the same expression and guard on numpy arrays, for the children of a
+    whole level of the level walk. Every cube of one side shares one
+    _Shape, so one read-only half-width array.
     """
 
     __slots__ = ("n", "k", "shapes")
@@ -658,6 +815,27 @@ class _KadicChildren:
                     raise ResourceGuard(f"child {idx} at level {level} has a half-width "
                                         "below the resolution of its coordinates")
         return h, out
+
+    def center_rows(self, pc: np.ndarray, ph):
+        """centers' expression on numpy arrays, for every child of the cubes
+        with centers the rows of pc and shared half-widths ph: (h, centers)
+        with the centers as rows, parent by parent and each parent's
+        children row-major; or None if centers would raise ResourceGuard for
+        a child of any of the cubes."""
+        k, n = self.k, self.n
+        side = 2.0 * ph[0] / k
+        h = 0.5 * side
+        offsets = np.arange(k) * side
+        axes = [(pc[:, i] - w)[:, None] + offsets + h for i, w in enumerate(ph)]
+        # as in centers: the bound rounds monotonically in the largest
+        # coordinate, which one child of each cube has
+        c_max = np.abs(np.stack(axes)).max(axis=(0, 2))
+        if np.any(h <= 8.0 * _U * (c_max + np.abs(pc).max(axis=1) + ph[0])):
+            return None
+        grid = np.empty((len(pc),) + (k,) * n + (n,))
+        for i, a in enumerate(axes):
+            grid[..., i] = a.reshape((len(pc),) + (1,) * i + (k,) + (1,) * (n - 1 - i))
+        return h, grid.reshape(-1, n)
 
     def __call__(self, region, level: int, idx: int) -> Box:
         h, (c,) = self.centers(region.center.tolist(), region.half.tolist(), level, (idx,))

@@ -201,7 +201,8 @@ def _bits(values):
 @pytest.mark.parametrize("make,x,r,depth", [
     (lambda: lebesgue_tree(1), [0.3817], 0.1234, 24),
     (lambda: lebesgue_tree(2), [0.43, 0.57], 0.1, 9),
-    (lambda: lebesgue_tree(3, k=3), [0.41, 0.52, 0.37], 0.2, 4),
+    # (r k^D)^2 = 53.1, below LEVEL_WALK_WIDTH, so the DFS builds the records
+    (lambda: lebesgue_tree(3, k=3), [0.41, 0.52, 0.37], 0.09, 4),
     (binomial_tree, [0.6180], 0.01, 30),
     (lambda: constant_binomial_tree(0.3), [0.2718], 0.05, 30),
 ], ids=["lebesgue-1", "lebesgue-2", "lebesgue-3-k3", "binomial", "constant-binomial"])
@@ -945,3 +946,219 @@ def test_interleaved_queries_on_one_tree_match_fresh_trees():
             for query in queries:
                 assert region_measure(shared, query, depth, early_stop) == \
                     region_measure(make(), query, depth, early_stop), query
+
+
+# ---------------------------------------------------------------------------
+# The level walk: wide ball queries on k-adic trees, one level at a time
+
+
+def _uneven_tree():
+    """A 2-d kadic_tree whose weights differ by child and level, so that a
+    sum in another order than the DFS's shows in the last bits."""
+    def weights(level):
+        w = np.array([1.0 + ((3 * level + 5 * i) % 7) / 3.0 for i in range(4)])
+        return tuple((w / w.sum()).tolist())
+
+    return kadic_tree(2, 2, weights)
+
+
+# (make, n, k, largest budget) with at most a few thousand nodes a level
+_LEVEL_TREES = {
+    "lebesgue-1-k2": (lambda: lebesgue_tree(1), 1, 2, 16),
+    "lebesgue-1-k3": (lambda: lebesgue_tree(1, k=3), 1, 3, 10),
+    "lebesgue-2-k2": (lambda: lebesgue_tree(2), 2, 2, 8),
+    "lebesgue-2-k3": (lambda: lebesgue_tree(2, k=3), 2, 3, 5),
+    "lebesgue-3-k2": (lambda: lebesgue_tree(3), 3, 2, 5),
+    "lebesgue-3-k3": (lambda: lebesgue_tree(3, k=3), 3, 3, 3),
+    "uneven-2-k2": (_uneven_tree, 2, 2, 8),
+}
+
+
+def _level_walk_case(draw):
+    """A tree, a ball query with or without cone rows, and a budget. Centers
+    and radii are often multiples of k^-m, on node faces, where near ties
+    fall."""
+    name = draw(st.sampled_from(sorted(_LEVEL_TREES)))
+    make, n, k, most = _LEVEL_TREES[name]
+    depth = draw(st.integers(0, most))
+    if draw(st.booleans()):
+        grid = k ** draw(st.integers(1, 4))
+        x = [draw(st.integers(1, grid - 1)) / grid for _ in range(n)]
+        r = draw(st.integers(1, grid // 2 + 1)) / grid
+    else:
+        x = [draw(st.floats(0.1, 0.9)) for _ in range(n)]
+        r = draw(st.floats(0.02, 0.6))
+    pick = lambda lo, hi: draw(st.integers(lo, hi))
+    theta, alpha = _unit(pick, n), draw(st.sampled_from([0.3, 0.5, 1.0]))
+    cones = draw(st.sampled_from(["ball", "plane", "half", "one-sided", "plane-half"]))
+    parts = {"ball": {},
+             "plane": dict(plane_cone=(Subspace(theta[None, :]), alpha)),
+             "half": dict(half_cone_excluded=(theta, alpha)),
+             "one-sided": dict(one_sided_cone=(theta, alpha)),
+             "plane-half": dict(plane_cone=(Subspace(theta[None, :]), alpha),
+                                half_cone_excluded=(-theta, 0.5))}[cones]
+    return name, make, RegionQuery(ball=Ball(np.array(x), r), **parts), depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_level_walk_equals_the_dfs_bit_for_bit(data):
+    name, make, query, depth = _level_walk_case(data.draw)
+    dfs = measure._dfs(make(), query, depth, None)
+    level = measure._level_walk(make(), query, depth)
+    assert (level.lo, level.hi, level.depth_used) == (dfs.lo, dfs.hi, dfs.depth_used)
+    got = region_measure(make(), query, depth)
+    assert (got.lo, got.hi, got.depth_used) == (dfs.lo, dfs.hi, dfs.depth_used)
+
+
+def test_level_walk_meets_near_ties_and_adds_in_dfs_order(monkeypatch):
+    # a dyadic center and radius put the ball's boundary on node faces, where
+    # the reference decides nodes in both walks
+    reference, calls = measure._classify_reference, [0]
+
+    def counting(region, q):
+        calls[0] += 1
+        return reference(region, q)
+
+    monkeypatch.setattr(measure, "_classify_reference", counting)
+    on_faces = RegionQuery(ball=Ball(np.array([0.5, 0.375]), 0.25))
+    cones = RegionQuery(ball=Ball(np.array([0.5, 0.5]), 0.3),
+                        plane_cone=(Subspace(np.array([[1.0, 0.0]])), 0.5),
+                        half_cone_excluded=(np.array([0.6, 0.8]), 0.5))
+    for make in (lambda: lebesgue_tree(2), _uneven_tree):
+        dfs = measure._dfs(make(), on_faces, 8, None)
+        before = calls[0]
+        assert measure._level_walk(make(), on_faces, 8) == dfs
+        assert calls[0] > before
+        assert measure._level_walk(make(), cones, 8) == measure._dfs(make(), cones, 8, None)
+    # on uneven weights the order of the sums shows: without the sort by
+    # address key, leaves added level by level change lo and hi
+    want = measure._dfs(_uneven_tree(), on_faces, 8, None)
+    monkeypatch.setattr(measure.np, "argsort", lambda keys: np.arange(len(keys)))
+    unsorted = measure._level_walk(_uneven_tree(), on_faces, 8)
+    assert unsorted.lo != want.lo and unsorted.hi != want.hi
+
+
+def _box_rows(region):
+    return np.array([region.center]), measure._Shape(region.half)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_classify_rows_is_classify_bit_for_bit(data):
+    case = _near_tie_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assume(case is not None and isinstance(case[0], Box) and case[1].ball is not None)
+    region, query = case
+    rows = measure._classify_rows(*_box_rows(region), query)
+    assert rows.tolist() == [measure._classify(measure._Node(region), query)]
+
+
+def test_classify_rows_classifies_a_level_as_classify_does():
+    tree, rng = lebesgue_tree(2), np.random.default_rng(31)
+    level = [node for node in _records(tree, 5) if len(node.c) == 2][-1024:]
+    centers = np.array([node.c for node in level])
+    for query in _plane_cache_queries(2):
+        rows = measure._classify_rows(centers, level[0].shape, query)
+        assert rows.tolist() == [measure._classify(node, query) for node in level]
+    x = rng.uniform(0.2, 0.8, size=2)
+    query = RegionQuery(ball=Ball(x, 0.2), one_sided_cone=(np.array([0.0, 1.0]), 0.4))
+    rows = measure._classify_rows(centers, level[0].shape, query)
+    assert rows.tolist() == [measure._classify(node, query) for node in level]
+
+
+@pytest.mark.parametrize("n,k,depth", [(1, 2, 40), (2, 2, 9), (2, 3, 5), (3, 2, 4), (3, 3, 3)])
+def test_center_rows_are_centers_bit_for_bit(n, k, depth):
+    kids, rng = measure._KadicChildren(n, k), np.random.default_rng(n * 10 + k)
+    tree = lebesgue_tree(n, k=k)
+    for level in range(1, depth + 1):
+        parents = [tree.node(tuple(rng.integers(k ** n, size=level - 1)))[0]
+                   for _ in range(5)]
+        ph = parents[0].half.tolist()
+        h, rows = kids.center_rows(np.array([p.center for p in parents]), ph)
+        want = [kids.centers(p.center.tolist(), ph, level, range(k ** n)) for p in parents]
+        assert _bits([h]) == _bits([w[0] for w in want[:1]])
+        assert [_bits(row) for row in rows] == [_bits(c) for w in want for c in w[1]]
+
+
+def test_center_rows_refuse_where_centers_raise():
+    # a cube far from the origin reaches the rounding of its coordinates
+    # within a few levels; center_rows refuses as soon as one cube's child is
+    kids = measure._KadicChildren(2, 2)
+    near, far = [0.5, 0.5], [2.0 ** 40, 0.5]
+    for level, h in enumerate([2.0 ** -j for j in range(2, 14)], start=1):
+        ph = [2.0 * h, 2.0 * h]
+        try:
+            kids.centers(far, ph, level, range(4))
+            raised = False
+        except measure.ResourceGuard:
+            raised = True
+        assert (kids.center_rows(np.array([near, far]), ph) is None) == raised
+        assert kids.center_rows(np.array([near]), ph) is not None
+        if raised:
+            break
+    assert raised
+
+
+def _builds_records(tree, query, depth, early_stop=None):
+    region_measure(tree, query, depth, early_stop)
+    return tree._root.kids is not None
+
+
+def test_only_wide_kadic_ball_walks_take_the_level_walk():
+    wide = RegionQuery(ball=Ball(np.array([0.43, 0.57]), 0.2))  # (0.2 2^9) = 102.4
+    assert measure._takes_level_walk(lebesgue_tree(2), wide, 9, None)
+    assert not _builds_records(lebesgue_tree(2), wide, 9)
+    cone = RegionQuery(ball=Ball(np.array([0.43, 0.57]), 0.2),
+                       half_cone_excluded=(np.array([0.6, 0.8]), 0.5))
+    assert not _builds_records(lebesgue_tree(2), cone, 9)
+    assert not _builds_records(lebesgue_tree(3), RegionQuery(
+        ball=Ball(np.array([0.4, 0.5, 0.6]), 0.2)), 6)  # (0.2 2^6)^2 = 164
+    # narrow: (0.1 2^9) = 51.2 is below LEVEL_WALK_WIDTH
+    assert _builds_records(lebesgue_tree(2), RegionQuery(
+        ball=Ball(np.array([0.43, 0.57]), 0.1)), 9)
+    assert _builds_records(lebesgue_tree(2), wide, 9, early_stop=0.01)
+    assert _builds_records(lebesgue_tree(2), RegionQuery(
+        box=Box(np.array([0.43, 0.57]), np.array([0.2, 0.2]))), 9)
+    assert _builds_records(lebesgue_tree(1), RegionQuery(ball=Ball(np.array([0.43]), 0.2)), 20)
+    assert _builds_records(strip_block_tree(), RegionQuery(
+        ball=Ball(np.array([0.125, 0.03]), 0.3)), 6)
+    # a budget whose sort key would not fit in 62 bits: 4^32 = 2^64
+    assert not measure._takes_level_walk(lebesgue_tree(2), wide, 32, None)
+    assert measure._takes_level_walk(lebesgue_tree(2), wide, 31, None)
+
+
+def test_level_walk_leaves_a_refused_child_to_the_dfs():
+    # past the coordinate resolution both walks raise the DFS's message: on
+    # lebesgue_tree(2) a level-49 budget is past the sort key and walks as a
+    # DFS; on a cube far from the origin the guard refuses at level 8, and
+    # the level walk hands the query to the DFS
+    query = RegionQuery(ball=Ball(np.array([0.5, 0.5]), 0.5 - 2.0 ** -52))
+    with pytest.raises(measure.ResourceGuard) as dfs:
+        measure._dfs(lebesgue_tree(2), query, 49, None)
+    with pytest.raises(measure.ResourceGuard) as got:
+        region_measure(lebesgue_tree(2), query, 49)
+    assert str(got.value) == str(dfs.value)
+
+    def far_tree():
+        return MeasureTree(cube(np.array([2.0 ** 40, 0.0]), 1.0), lambda level: (0.25,) * 4,
+                           measure._KadicChildren(2, 2), k=2)
+
+    query = RegionQuery(ball=Ball(np.array([2.0 ** 40 + 0.5, 0.5]), 0.3))
+    assert measure._takes_level_walk(far_tree(), query, 12, None)
+    assert measure._level_walk(far_tree(), query, 12) is None
+    with pytest.raises(measure.ResourceGuard) as dfs:
+        measure._dfs(far_tree(), query, 12, None)
+    with pytest.raises(measure.ResourceGuard) as got:
+        region_measure(far_tree(), query, 12)
+    assert str(got.value) == str(dfs.value) and "level 8" in str(got.value)
+    shallow = region_measure(far_tree(), query, 7)
+    assert shallow == measure._dfs(far_tree(), query, 7, None)
+
+
+def test_level_walk_leaves_fewer_weights_than_children_to_the_dfs():
+    # a kadic_tree whose weights name two of its four children walks those
+    # two, as the DFS does
+    query = RegionQuery(ball=Ball(np.array([0.43, 0.57]), 0.3))
+    halves = lambda: kadic_tree(2, 2, lambda level: (0.5, 0.5))
+    assert measure._level_walk(halves(), query, 9) is None
+    assert region_measure(halves(), query, 9) == measure._dfs(halves(), query, 9, None)
