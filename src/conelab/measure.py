@@ -720,8 +720,9 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
     require_int(depth_budget, "depth_budget", 0)
     if len(query.center) != tree.ambient_dim:
         raise ValueError("query and tree differ in dimension")
-    if _takes_level_walk(tree, query, int(depth_budget), early_stop_lo):
-        got = _level_walk(tree, query, int(depth_budget))
+    budget = int(depth_budget)
+    if _takes_level_walk(tree, query, budget, early_stop_lo):
+        got = _level_walk(tree, query, budget)
         if got is not None:
             return got
     return _dfs(tree, query, depth_budget, early_stop_lo)

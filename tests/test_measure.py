@@ -997,13 +997,13 @@ def _level_walk_case(draw):
              "one-sided": dict(one_sided_cone=(theta, alpha)),
              "plane-half": dict(plane_cone=(Subspace(theta[None, :]), alpha),
                                 half_cone_excluded=(-theta, 0.5))}[cones]
-    return name, make, RegionQuery(ball=Ball(np.array(x), r), **parts), depth
+    return make, RegionQuery(ball=Ball(np.array(x), r), **parts), depth
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_level_walk_equals_the_dfs_bit_for_bit(data):
-    name, make, query, depth = _level_walk_case(data.draw)
+    make, query, depth = _level_walk_case(data.draw)
     dfs = measure._dfs(make(), query, depth, None)
     level = measure._level_walk(make(), query, depth)
     assert (level.lo, level.hi, level.depth_used) == (dfs.lo, dfs.hi, dfs.depth_used)
@@ -1039,23 +1039,19 @@ def test_level_walk_meets_near_ties_and_adds_in_dfs_order(monkeypatch):
     assert unsorted.lo != want.lo and unsorted.hi != want.hi
 
 
-def _box_rows(region):
-    return np.array([region.center]), measure._Shape(region.half)
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_classify_rows_is_classify_bit_for_bit(data):
     case = _near_tie_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
     assume(case is not None and isinstance(case[0], Box) and case[1].ball is not None)
     region, query = case
-    rows = measure._classify_rows(*_box_rows(region), query)
+    rows = measure._classify_rows(np.array([region.center]), measure._Shape(region.half), query)
     assert rows.tolist() == [measure._classify(measure._Node(region), query)]
 
 
 def test_classify_rows_classifies_a_level_as_classify_does():
     tree, rng = lebesgue_tree(2), np.random.default_rng(31)
-    level = [node for node in _records(tree, 5) if len(node.c) == 2][-1024:]
+    level = _records(tree, 5)[-4 ** 5:]
     centers = np.array([node.c for node in level])
     for query in _plane_cache_queries(2):
         rows = measure._classify_rows(centers, level[0].shape, query)
@@ -1076,7 +1072,7 @@ def test_center_rows_are_centers_bit_for_bit(n, k, depth):
         ph = parents[0].half.tolist()
         h, rows = kids.center_rows(np.array([p.center for p in parents]), ph)
         want = [kids.centers(p.center.tolist(), ph, level, range(k ** n)) for p in parents]
-        assert _bits([h]) == _bits([w[0] for w in want[:1]])
+        assert _bits([h]) == _bits([want[0][0]])
         assert [_bits(row) for row in rows] == [_bits(c) for w in want for c in w[1]]
 
 
