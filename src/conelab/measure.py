@@ -117,25 +117,31 @@ class _Node:
     """Record of one node of a tree, kept for the life of the tree.
 
     region is the node's region, kids its child records once the node was
-    first expanded. For a Box region, c is the center as a float tuple and
-    shape the node's _Shape; any other region has neither and is classified
-    by the numpy reference. A k-adic record is built from c and shape
-    alone, and makes its Box region the first time it is read. Everything
-    else a Box record keeps belongs to qc, the last ball-query center it
-    was classified against: dmin and dmax its distance bounds to qc, d and
-    nd its offset from qc and the offset's norm once a cone query at qc
-    needed them (else d is None), and pv the verdict of the plane cone row
-    alone under the plane key pk, (frame rows, opening), of the last
-    plane-cone query at qc that decided it. A change of qc resets d and pk.
+    first expanded. mass is the product of the conditional weights along
+    the node's path, taken from 1.0 at the root in path order, as
+    MeasureTree.node_measure takes it, and depth the length of that path;
+    both are set when the record is built and never change. For a Box
+    region, c is the center as a float tuple and shape the node's _Shape;
+    any other region has neither and is classified by the numpy
+    reference. A k-adic record is built from c and shape alone, and makes
+    its Box region the first time it is read. Everything else a Box record
+    keeps belongs to qc, the last ball-query center it was classified
+    against: dmin and dmax its distance bounds to qc, d and nd its offset
+    from qc and the offset's norm once a cone query at qc needed them
+    (else d is None), and pv the verdict of the plane cone row alone under
+    the plane key pk, (frame rows, opening), of the last plane-cone query
+    at qc that decided it. A change of qc resets d and pk.
     Only the DFS of region_measure builds and reads records; the level walk
     classifies whole levels of a k-adic tree on arrays and builds none.
     """
 
-    __slots__ = ("_region", "c", "shape", "kids", "qc", "dmin", "dmax",
-                 "pk", "pv", "d", "nd")
+    __slots__ = ("_region", "c", "shape", "kids", "mass", "depth", "qc", "dmin",
+                 "dmax", "pk", "pv", "d", "nd")
 
-    def __init__(self, region, sibling: _Node | None = None, c=None, shape=None):
+    def __init__(self, region, sibling: _Node | None = None, c=None, shape=None,
+                 mass: float = 1.0, depth: int = 0):
         self._region = region
+        self.mass, self.depth = mass, depth
         self.kids = self.qc = self.dmin = self.dmax = None
         if region is None:  # a k-adic record
             self.c, self.shape = c, shape
@@ -167,10 +173,10 @@ class MeasureTree:
     positive and sum to one; each level is checked once and cached.
     child_fn(region, level, idx) builds the idx-th child region of a node
     with the given region. Walks keep the nodes they expand as _Node
-    records, each with its child records, so child_fn must be a pure
-    function of its arguments. A record also caches its distance bounds
-    to the last ball-query center, so one tree must not be walked from two
-    threads at once.
+    records, each with its child records, its mass and its depth, so
+    child_fn must be a pure function of its arguments. A record also
+    caches its distance bounds to the last ball-query center, so one tree
+    must not be walked from two threads at once.
 
     k is the arity of a k-adic cube tree, whose nodes split into the k^n
     subcubes enumerated row-major, or None for any other hierarchy. Children
@@ -227,17 +233,21 @@ class MeasureTree:
                 raise ValueError(f"child {idx} at level {level} escapes its parent")
         return kid
 
-    def _kids(self, node: _Node, level: int) -> list:
-        """Child records of a level - 1 node, built on its first expansion."""
+    def _kids(self, node: _Node) -> list:
+        """Child records of a node, built on its first expansion: one per
+        weight of the next level, each with mass node.mass * w and depth
+        node.depth + 1."""
         kids = node.kids
         if kids is None:
-            count = len(self.weights(level))
+            level = node.depth + 1
+            weights = self.weights(level)
             if self._kadic is not None:
-                kids = self._kadic.records(node, level, count)
+                kids = self._kadic.records(node, level, weights)
             else:
-                kids, kid = [], None
-                for i in range(count):
-                    kid = _Node(self.child(node.region, level, i), kid)
+                kids, kid, mass = [], None, node.mass
+                for i, w in enumerate(weights):
+                    kid = _Node(self.child(node.region, level, i), kid,
+                                mass=mass * w, depth=level)
                     kids.append(kid)
             node.kids = kids
         return kids
@@ -247,12 +257,11 @@ class MeasureTree:
         addr = tuple(addr)
         node = self._root
         for level, idx in enumerate(addr, start=1):
-            kids = self._kids(node, level)
+            kids = self._kids(node)
             if not 0 <= idx < len(kids):
                 raise IndexError(f"child index {idx} out of range at depth {level - 1}")
             node = kids[idx]
-        level = len(addr) + 1
-        return [(kid.region, w) for kid, w in zip(self._kids(node, level), self.weights(level))]
+        return [(kid.region, w) for kid, w in zip(self._kids(node), self.weights(len(addr) + 1))]
 
     def node(self, addr: tuple):
         """(region, absolute mass) of the node at addr."""
@@ -357,7 +366,8 @@ class RegionQuery:
         if len(shape) != 1 or not shape[0]:
             raise ValueError("query center must be a non-empty vector")
         n = shape[0]
-        if not all(math.isfinite(v) for v in self.center):
+        qc = tuple(map(float, self.center))
+        if not all(map(math.isfinite, qc)):
             raise ValueError("query center must have finite coordinates")
         if self.ball is not None:
             if not 0.0 < self.ball.radius < math.inf:
@@ -378,7 +388,8 @@ class RegionQuery:
                 continue
             theta, alpha = cone
             theta = np.asarray(theta, dtype=float)
-            if theta.shape != (n,) or not abs(float(np.linalg.norm(theta)) - 1.0) <= 1e-12:
+            # np.linalg.norm's own expression for a 1-d float array
+            if theta.shape != (n,) or not abs(float(np.sqrt(theta.dot(theta))) - 1.0) <= 1e-12:
                 raise ValueError(f"cone direction must be a unit vector in R^{n}")
             a = alpha if excluded else math.sqrt(max(0.0, 1.0 - alpha * alpha))
             cones.append((False, theta, a, excluded, tuple(theta.tolist())))
@@ -387,7 +398,7 @@ class RegionQuery:
             # In one dimension every sum in _classify has a single term, so no
             # rounding bound is needed; see _classify for the bound itself.
             tol, tiny = (0.0, 0.0) if n == 1 else (_ROUNDING_SLACK * (n + 2) ** 2 * _U, _TINY)
-            qc, r = tuple(map(float, self.center)), float(self.ball.radius)
+            r = float(self.ball.radius)
             key = None
             if self.plane_cone is not None:
                 _, _, a, _, vecs = cones[0]
@@ -725,33 +736,41 @@ def region_measure(tree: MeasureTree, query: RegionQuery, depth_budget: int,
         got = _level_walk(tree, query, budget)
         if got is not None:
             return got
-    return _dfs(tree, query, depth_budget, early_stop_lo)
+    return _dfs(tree, query, budget, early_stop_lo)
 
 
 def _dfs(tree: MeasureTree, query: RegionQuery, depth_budget: int,
          early_stop_lo: float | None) -> MeasureInterval:
-    """region_measure by a depth-first walk of the tree's node records."""
-    lo = 0.0
-    hi = 0.0
+    """region_measure by a depth-first walk of the tree's node records.
+
+    The stack holds records alone, each with its mass and depth. A node
+    is expanded by pushing its child records in index order, built by
+    tree._kids on its first expansion only, so the last child is popped
+    first. _classify is read once per walk and called once per popped
+    record, so a wrapper put in its place before the walk sees every node.
+    """
+    classify = _classify
+    lo = hi = 0.0
     depth_used = 0
-    stack = [(tree._root, 1.0, 0)]
+    stack = [tree._root]
     while stack:
-        node, mass, depth = stack.pop()
-        depth_used = max(depth_used, depth)
-        verdict = _classify(node, query)
+        node = stack.pop()
+        depth = node.depth
+        if depth > depth_used:
+            depth_used = depth
+        verdict = classify(node, query)
         if verdict == _INSIDE:
+            mass = node.mass
             lo += mass
             hi += mass
             if early_stop_lo is not None and lo > early_stop_lo:
-                hi += math.fsum(m for _, m, _ in stack)
+                hi += math.fsum(n.mass for n in stack)
                 break
         elif verdict == _UNDECIDED:
             if depth >= depth_budget:
-                hi += mass
+                hi += node.mass
             else:
-                level = depth + 1
-                for kid, w in zip(tree._kids(node, level), tree.weights(level)):
-                    stack.append((kid, mass * w, level))
+                stack += node.kids or tree._kids(node)
     return MeasureInterval(lo, hi, depth_used)
 
 
@@ -842,11 +861,13 @@ class _KadicChildren:
         h, (c,) = self.centers(region.center.tolist(), region.half.tolist(), level, (idx,))
         return Box(np.array(c), self.shape(h).half)
 
-    def records(self, node: _Node, level: int, count: int) -> list:
-        """Records of the first count children of a node's record."""
-        h, centers = self.centers(node.c, node.shape.ext, level, range(count))
-        shape = self.shape(h)
-        return [_Node(None, None, c, shape) for c in centers]
+    def records(self, node: _Node, level: int, weights: tuple) -> list:
+        """Records of the first len(weights) children of a level - 1 node's
+        record, child idx with mass node.mass * weights[idx]."""
+        h, centers = self.centers(node.c, node.shape.ext, level, range(len(weights)))
+        shape, mass = self.shape(h), node.mass
+        return [_Node(None, None, c, shape, mass * w, level)
+                for c, w in zip(centers, weights)]
 
 
 def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:

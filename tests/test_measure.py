@@ -413,6 +413,32 @@ def test_query_refuses_bad_cones(cone):
         RegionQuery(ball=Ball(np.array([0.5, 0.5]), 0.3), **cone)
 
 
+def _tolerance_edge(base, sign):
+    """Directions on either side of the 1e-12 unit tolerance by
+    np.linalg.norm: (inside, outside), one ulp of the positive first
+    coordinate apart, with norms above 1 for sign 1 and below 1 for sign
+    -1."""
+    theta, inside = np.array(base) * (1.0 + sign * 0.999e-12), None
+    while abs(np.linalg.norm(theta) - 1.0) <= 1e-12:
+        inside = theta.copy()
+        theta[0] = np.nextafter(theta[0], sign * np.inf)
+    assert inside is not None and (np.linalg.norm(theta) > 1.0) == (sign > 0)
+    return inside, theta
+
+
+@pytest.mark.parametrize("base", [[1.0], [0.6, 0.8], [0.48, -0.6, 0.64]],
+                         ids=["1-d", "2-d", "3-d"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["long", "short"])
+@pytest.mark.parametrize("kind", ["one_sided_cone", "half_cone_excluded"])
+def test_query_direction_tolerance_matches_linalg_norm(base, sign, kind):
+    inside, outside = _tolerance_edge(base, sign)
+    x = np.full(len(base), 0.5)
+    query = RegionQuery(ball=Ball(x, 0.3), **{kind: (inside, 0.5)})
+    assert query.cones[0][4] == tuple(inside.tolist())
+    with pytest.raises(ValueError, match="unit vector"):
+        RegionQuery(ball=Ball(x, 0.3), **{kind: (outside, 0.5)})
+
+
 # (lo, hi, depth_used) recorded with the three separate cone blocks that the
 # single cone loop replaced; every enclosure must stay bit for bit the same.
 _V1 = Subspace(np.array([[1.0, 0.0]]))
@@ -707,7 +733,7 @@ def _records(tree, depth):
     """The tree's node records down to depth, expanding every node."""
     nodes = frontier = [tree._root]
     for level in range(1, depth + 1):
-        frontier = [kid for node in frontier for kid in tree._kids(node, level)]
+        frontier = [kid for node in frontier for kid in tree._kids(node)]
         nodes = nodes + frontier
     return nodes
 
@@ -949,7 +975,7 @@ def test_interleaved_queries_on_one_tree_match_fresh_trees():
 
 
 # ---------------------------------------------------------------------------
-# The level walk: wide ball queries on k-adic trees, one level at a time
+# The DFS over records with masses and depths against a DFS over tuples
 
 
 def _uneven_tree():
@@ -960,6 +986,120 @@ def _uneven_tree():
         return tuple((w / w.sum()).tolist())
 
     return kadic_tree(2, 2, weights)
+
+
+def _reference_dfs(tree, query, depth_budget, early_stop_lo=None):
+    """region_measure's DFS as a walk of (region, mass, depth) tuples: child
+    regions from tree.child, masses multiplied along the walk, and the numpy
+    reference verdict for each node. Returns the enclosure and the number of
+    nodes popped."""
+    lo = hi = 0.0
+    depth_used = pops = 0
+    stack = [(tree.root_region, 1.0, 0)]
+    while stack:
+        region, mass, depth = stack.pop()
+        pops += 1
+        depth_used = max(depth_used, depth)
+        verdict = measure._classify_reference(region, query)
+        if verdict == measure._INSIDE:
+            lo += mass
+            hi += mass
+            if early_stop_lo is not None and lo > early_stop_lo:
+                hi += math.fsum(m for _, m, _ in stack)
+                break
+        elif verdict == measure._UNDECIDED:
+            if depth >= depth_budget:
+                hi += mass
+            else:
+                level = depth + 1
+                for idx, w in enumerate(tree.weights(level)):
+                    stack.append((tree.child(region, level, idx), mass * w, level))
+    return MeasureInterval(lo, hi, depth_used), pops
+
+
+# (make, n, largest budget, lowest and highest center coordinate)
+_DFS_TREES = {
+    "lebesgue-1": (lambda: lebesgue_tree(1), 1, 16, 0.05, 0.95),
+    "lebesgue-2": (lambda: lebesgue_tree(2), 2, 6, 0.05, 0.95),
+    "lebesgue-3": (lambda: lebesgue_tree(3), 3, 4, 0.1, 0.9),
+    "binomial": (binomial_tree, 1, 24, 0.05, 0.95),
+    "uneven-2-k2": (_uneven_tree, 2, 6, 0.05, 0.95),
+    "rotating-ball": (rotating_ball_tree, 2, 3, -0.6, 0.6),
+    "strip-block": (strip_block_tree, 2, 2, -0.1, 0.9),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dfs_equals_a_tuple_dfs_and_classifies_each_pop_once(data):
+    draw = data.draw
+    name = draw(st.sampled_from(sorted(_DFS_TREES)))
+    make, n, most, low, high = _DFS_TREES[name]
+    depth = draw(st.integers(most // 2, most))
+    x = np.array([draw(st.floats(low, high)) for _ in range(n)])
+    if name == "strip-block":
+        x[0] = draw(st.floats(-0.1, 0.1))
+    pick = lambda lo, hi: draw(st.integers(lo, hi))
+    theta, alpha = _unit(pick, n), draw(st.sampled_from([0.3, 0.5, 1.0]))
+    kind = draw(st.sampled_from(["ball", "box", "plane", "one-sided", "half"]))
+    r = draw(st.floats(0.01, 0.6))
+    base = (dict(box=Box(x, np.array([draw(st.floats(0.01, 0.6)) for _ in range(n)])))
+            if kind == "box" else dict(ball=Ball(x, r)))
+    cone = {"plane": dict(plane_cone=(Subspace(theta[None, :]), alpha)),
+            "one-sided": dict(one_sided_cone=(theta, alpha)),
+            "half": dict(half_cone_excluded=(theta, alpha))}.get(kind, {})
+    query = RegionQuery(**base, **cone)
+    early_stop = draw(st.sampled_from([None, 0.0, 0.01, 0.2]))
+    want, pops = _reference_dfs(make(), query, depth, early_stop)
+
+    kernel, calls = measure._classify, [0]
+
+    def counting(node, q):
+        calls[0] += 1
+        return kernel(node, q)
+
+    tree = make()
+    measure._classify = counting
+    try:
+        got = region_measure(tree, query, depth, early_stop)
+    finally:
+        measure._classify = kernel
+    assert (got.lo, got.hi, got.depth_used) == (want.lo, want.hi, want.depth_used)
+    # a wide walk takes the level walk, which classifies no record
+    level_walk = measure._takes_level_walk(tree, query, depth, early_stop)
+    assert calls[0] == (0 if level_walk else pops)
+
+
+def _own_kadic_tree():
+    """A 2-d k-adic tree with uneven weights and its own numpy child_fn."""
+    def child_fn(region, _level, idx):
+        side = float(region.half[0])
+        offset = np.array(np.unravel_index(idx, (2, 2)), dtype=float)
+        return cube(region.center - region.half + offset * side, side)
+
+    return MeasureTree(cube(np.zeros(2), 1.0), _uneven_tree()._weights_fn, child_fn, k=2)
+
+
+@pytest.mark.parametrize("make,x,r,depth", [
+    (_uneven_tree, [0.43, 0.57], 0.1, 8),
+    (_own_kadic_tree, [0.43, 0.57], 0.1, 8),
+    (binomial_tree, [0.6180], 0.01, 30),
+    (lambda: _halving_tree(lambda level: (0.3, 0.7) if level % 2 else (0.9, 0.1)),
+     [0.2718], 0.05, 30),
+    (rotating_ball_tree, [0.1, 0.0], 0.3, 3),
+], ids=["uneven", "own-child-fn", "binomial", "halving", "rotating-ball"])
+def test_walked_records_carry_node_measure_and_depth_bit_for_bit(make, x, r, depth):
+    tree = make()
+    region_measure(tree, RegionQuery(ball=Ball(np.array(x), r)), depth, early_stop_lo=None)
+    records = _built_records(tree)
+    assert len(records) > 50 and max(len(addr) for addr, _ in records) == depth
+    for addr, node in records:
+        assert node.mass.hex() == tree.node_measure(addr).hex()
+        assert node.depth == len(addr)
+
+
+# ---------------------------------------------------------------------------
+# The level walk: wide ball queries on k-adic trees, one level at a time
 
 
 # (make, n, k, largest budget) with at most a few thousand nodes a level
