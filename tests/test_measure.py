@@ -978,14 +978,15 @@ def test_interleaved_queries_on_one_tree_match_fresh_trees():
 # The DFS over records with masses and depths against a DFS over tuples
 
 
+def _uneven_weights(level):
+    w = np.array([1.0 + ((3 * level + 5 * i) % 7) / 3.0 for i in range(4)])
+    return tuple((w / w.sum()).tolist())
+
+
 def _uneven_tree():
     """A 2-d kadic_tree whose weights differ by child and level, so that a
     sum in another order than the DFS's shows in the last bits."""
-    def weights(level):
-        w = np.array([1.0 + ((3 * level + 5 * i) % 7) / 3.0 for i in range(4)])
-        return tuple((w / w.sum()).tolist())
-
-    return kadic_tree(2, 2, weights)
+    return kadic_tree(2, 2, _uneven_weights)
 
 
 def _reference_dfs(tree, query, depth_budget, early_stop_lo=None):
@@ -1077,7 +1078,7 @@ def _own_kadic_tree():
         offset = np.array(np.unravel_index(idx, (2, 2)), dtype=float)
         return cube(region.center - region.half + offset * side, side)
 
-    return MeasureTree(cube(np.zeros(2), 1.0), _uneven_tree()._weights_fn, child_fn, k=2)
+    return MeasureTree(cube(np.zeros(2), 1.0), _uneven_weights, child_fn, k=2)
 
 
 @pytest.mark.parametrize("make,x,r,depth", [
@@ -1090,7 +1091,7 @@ def _own_kadic_tree():
 ], ids=["uneven", "own-child-fn", "binomial", "halving", "rotating-ball"])
 def test_walked_records_carry_node_measure_and_depth_bit_for_bit(make, x, r, depth):
     tree = make()
-    region_measure(tree, RegionQuery(ball=Ball(np.array(x), r)), depth, early_stop_lo=None)
+    region_measure(tree, RegionQuery(ball=Ball(np.array(x), r)), depth)
     records = _built_records(tree)
     assert len(records) > 50 and max(len(addr) for addr, _ in records) == depth
     for addr, node in records:
