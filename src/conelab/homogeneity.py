@@ -165,6 +165,8 @@ def large_child_frequency(tree: MeasureTree, x, m: int, M: int, c: float,
         raise ValueError("large_child_frequency requires a k-adic cube tree")
     if tau < 1.0:
         raise ValueError("tau must be at least 1")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     require_int(l, "l", 1)
     require_int(m, "m", 0)
     require_int(M, "M", 0)

@@ -178,27 +178,28 @@ class MeasureTree:
     caches its distance bounds to the last ball-query center, so one tree
     must not be walked from two threads at once.
 
-    k is the arity of a k-adic cube tree, whose nodes split into the k^n
-    subcubes enumerated row-major, or None for any other hierarchy. Children
-    of a Ball region are checked to stay inside it, and raise ResourceGuard
-    once their radius is within the rounding of their coordinates.
+    A tree is k-adic when its child_fn is kadic_tree's: its nodes split
+    into the k^n subcubes enumerated row-major, k is that child_fn's arity,
+    and every level must give exactly k^n weights. k is None for any other
+    child_fn. Children of a Ball region are checked to stay inside it, and
+    raise ResourceGuard once their radius is within the rounding of their
+    coordinates.
 
-    A tree made by kadic_tree builds its child records from the parent
-    record's floats, by the same float helper as its child_fn, so they
-    hold the centers and half-widths that child_fn returns, bit for bit,
-    and make their Box regions only when read. A tree given any other
-    child_fn, k-adic or not, builds every child record from child_fn's
-    region. region_measure walks a kadic_tree tree without records when a
-    ball query is wide (see LEVEL_WALK_WIDTH), so such walks leave the
-    records as they were.
+    A k-adic tree builds its child records from the parent record's floats,
+    by the same float helper as its child_fn, so they hold the centers and
+    half-widths that child_fn returns, bit for bit, and make their Box
+    regions only when read. A tree given any other child_fn builds every
+    child record from child_fn's region. region_measure walks a k-adic
+    tree without records when a ball query is wide (see LEVEL_WALK_WIDTH),
+    so such walks leave the records as they were.
     """
 
-    def __init__(self, root_region, weights_fn, child_fn, k: int | None = None):
+    def __init__(self, root_region, weights_fn, child_fn):
         self.root_region = root_region
-        self.k = k
         self._weights_fn = weights_fn
         self._child_fn = child_fn
         self._kadic = child_fn if isinstance(child_fn, _KadicChildren) else None
+        self.k = None if self._kadic is None else self._kadic.k
         self._weights: dict[int, tuple] = {}
         self._cdfs: dict[int, list] = {}
         self._root = _Node(root_region)
@@ -214,6 +215,10 @@ class MeasureTree:
             got = tuple(self._weights_fn(level))
             if not (abs(math.fsum(got) - 1.0) <= WEIGHT_TOL and all(w > 0.0 for w in got)):
                 raise ValueError(f"child weights at level {level} are not positive with sum 1")
+            kadic = self._kadic
+            if kadic is not None and len(got) != kadic.k ** kadic.n:
+                raise ValueError(f"a {kadic.k}-adic level needs k^n = {kadic.k ** kadic.n} "
+                                 f"child weights, level {level} gives {len(got)}")
             self._weights[level] = got
         return got
 
@@ -252,16 +257,21 @@ class MeasureTree:
             node.kids = kids
         return kids
 
-    def children(self, addr: tuple) -> list:
-        """Children of the node at addr as (region, conditional weight) pairs."""
-        addr = tuple(addr)
+    def _record(self, addr: tuple) -> _Node:
+        """The record of the node at addr, building records along the path."""
         node = self._root
         for level, idx in enumerate(addr, start=1):
             kids = self._kids(node)
             if not 0 <= idx < len(kids):
                 raise IndexError(f"child index {idx} out of range at depth {level - 1}")
             node = kids[idx]
-        return [(kid.region, w) for kid, w in zip(self._kids(node), self.weights(len(addr) + 1))]
+        return node
+
+    def children(self, addr: tuple) -> list:
+        """Children of the node at addr as (region, conditional weight) pairs."""
+        addr = tuple(addr)
+        kids = self._kids(self._record(addr))
+        return [(kid.region, w) for kid, w in zip(kids, self.weights(len(addr) + 1))]
 
     def node(self, addr: tuple):
         """(region, absolute mass) of the node at addr."""
@@ -281,12 +291,15 @@ class MeasureTree:
         return mass
 
     def branch_fan(self, addr: tuple) -> list:
-        """All siblings of the addressed node, with absolute masses."""
+        """All siblings of the addressed node, with the absolute masses
+        their records carry."""
         addr = tuple(addr)
         if not addr:
             raise ValueError("the root has no siblings")
-        parent_mass = self.node_measure(addr[:-1])
-        return [(region, parent_mass * w) for region, w in self.children(addr[:-1])]
+        kids = self._kids(self._record(addr[:-1]))
+        if not 0 <= addr[-1] < len(kids):
+            raise IndexError(f"child index {addr[-1]} out of range at depth {len(addr) - 1}")
+        return [(kid.region, kid.mass) for kid in kids]
 
     def sample_points(self, count: int, depth: int, seed: int) -> np.ndarray:
         """Draw count points mu-distributed to the given depth (region centers)."""
@@ -668,14 +681,14 @@ def _level_walk(tree: MeasureTree, query: RegionQuery, depth_budget: int):
 
     Each level's frontier is classified by _classify_rows and its undecided
     nodes are expanded by _KadicChildren.center_rows; child masses are the
-    DFS's products, parent mass times weight. The DFS pops the children of a
+    DFS's products, parent mass times weight, one weight a child as
+    MeasureTree.weights ensures. The DFS pops the children of a
     node in descending index order, so its pop order is the ascending order
     of the address key whose base-k^n digit at each level is k^n - 1 - idx,
     padded to the budget. The masses of the inside and budget leaves are
     summed sequentially in that order, as the DFS adds them. Returns None,
-    for the DFS to take over, at a level whose weights are not one per
-    child or where the resolution guard refuses a child, so that the DFS
-    raises its own ResourceGuard. Builds no record.
+    for the DFS to take over, where the resolution guard refuses a child,
+    so that the DFS raises its own ResourceGuard. Builds no record.
     """
     kadic = tree._kadic
     n_kids = kadic.k ** kadic.n
@@ -695,8 +708,6 @@ def _level_walk(tree: MeasureTree, query: RegionQuery, depth_budget: int):
             break
         level = depth + 1
         weights = tree.weights(level)
-        if len(weights) != n_kids:
-            return None
         got = kadic.center_rows(centers[undecided], shape.ext)
         if got is None:
             return None
@@ -862,8 +873,9 @@ class _KadicChildren:
         return Box(np.array(c), self.shape(h).half)
 
     def records(self, node: _Node, level: int, weights: tuple) -> list:
-        """Records of the first len(weights) children of a level - 1 node's
-        record, child idx with mass node.mass * weights[idx]."""
+        """Records of all k^n children of a level - 1 node's record, child
+        idx with mass node.mass * weights[idx]; MeasureTree.weights ensures
+        that weights holds exactly k^n weights."""
         h, centers = self.centers(node.c, node.shape.ext, level, range(len(weights)))
         shape, mass = self.shape(h), node.mass
         return [_Node(None, None, c, shape, mass * w, level)
@@ -879,15 +891,18 @@ def kadic_tree(n: int, k: int, weights_fn) -> MeasureTree:
     at most the rounding bound of its coordinates raises ResourceGuard, as
     a ball child does in MeasureTree.child. The tree builds its node
     records on floats, and every cube of one side shares one read-only
-    half-width array (see _KadicChildren).
+    half-width array (see _KadicChildren). This is the one way to build a
+    k-adic tree: its tree.k is k.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, _KadicChildren(n, k), k=k)
+    require_int(n, "n", 1)
+    require_int(k, "k", 2)
+    return MeasureTree(cube(np.zeros(n), 1.0), weights_fn, _KadicChildren(n, k))
 
 
 def lebesgue_tree(n: int, k: int = 2) -> MeasureTree:
     """Uniform (Lebesgue) measure on [0,1)^n as a k-adic tree."""
+    require_int(n, "n", 1)
+    require_int(k, "k", 2)
     weights = (float(k) ** (-n),) * k ** n
     return kadic_tree(n, k, lambda level: weights)
 

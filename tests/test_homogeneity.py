@@ -9,7 +9,7 @@ from conelab.density import density_profile
 from conelab.homogeneity import (dimension_bound, doubling_constant,
                                  doubling_frequency, hom_estimate,
                                  large_child_frequency, order_children)
-from conelab.measure import address_of_point, lebesgue_tree
+from conelab.measure import address_of_point, kadic_tree, lebesgue_tree
 
 
 def test_order_children_binomial():
@@ -203,6 +203,18 @@ KADIC_BAD_INPUT = {
     "lcf-m-fractional": lambda: large_child_frequency(
         lebesgue_tree(1, k=3), [0.37], 0.5, 1, 1e-6, 3.0, 5),
     "hom-l-max-zero": lambda: hom_estimate(lebesgue_tree(2), 1, 0),
+    "lcf-c-nan": lambda: large_child_frequency(binomial_tree(), [0.3], 0, 1, math.nan, 1.0, 6),
+    "lcf-c-inf": lambda: large_child_frequency(binomial_tree(), [0.3], 0, 1, math.inf, 1.0, 6),
+    "lcf-c-zero": lambda: large_child_frequency(binomial_tree(), [0.3], 0, 1, 0.0, 1.0, 6),
+    "lcf-c-negative": lambda: large_child_frequency(binomial_tree(), [0.3], 0, 1, -0.05, 1.0, 6),
+    "lebesgue-n-bool": lambda: lebesgue_tree(True),
+    "lebesgue-n-zero": lambda: lebesgue_tree(0),
+    "lebesgue-k-fractional": lambda: lebesgue_tree(2, k=2.0),
+    "lebesgue-k-one": lambda: lebesgue_tree(2, k=1),
+    "kadic-n-fractional": lambda: kadic_tree(2.0, 2, lambda level: (0.25,) * 4),
+    "kadic-n-zero": lambda: kadic_tree(0, 2, lambda level: (1.0,)),
+    "kadic-k-fractional": lambda: kadic_tree(1, 2.0, lambda level: (0.5, 0.5)),
+    "kadic-k-one": lambda: kadic_tree(1, 1, lambda level: (1.0,)),
 }
 
 

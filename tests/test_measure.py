@@ -12,7 +12,8 @@ from conelab.constructions import (binomial_tree, constant_binomial_tree,
                                    rotating_ball_tree, strip_block_tree)
 from conelab.density import worst_cone_ratio
 from conelab.geometry import Subspace, build_direction_net, build_subspace_net
-from conelab.homogeneity import doubling_constant, doubling_frequency
+from conelab.homogeneity import (doubling_constant, doubling_frequency, hom_estimate,
+                                 large_child_frequency)
 from conelab.measure import (Ball, Box, MeasureInterval, MeasureTree,
                              RegionQuery, address_of_point, cube,
                              kadic_tree, lebesgue_tree, region_measure)
@@ -82,24 +83,48 @@ def test_weights_are_checked_once_per_level():
 
 def test_one_child_walks_build_one_child_per_level():
     built = []
+    tree = kadic_tree(1, 2, lambda level: (0.5, 0.5))
+    kids = tree._child_fn
 
     def child_fn(region, level, idx):
         built.append(level)
-        side = float(region.half[0])
-        return cube(region.center - region.half + idx * side, side)
+        return kids(region, level, idx)
 
-    tree = MeasureTree(cube(np.zeros(1), 1.0), lambda level: (0.5, 0.5), child_fn, k=2)
+    tree._child_fn = child_fn
     tree.sample_points(20, 3, seed=0)
     assert built == [1, 2, 3] * 20
     del built[:]
     tree.node((1, 0, 1, 1))
     address_of_point(tree, [0.3], 5)
     assert built == [1, 2, 3, 4, 1, 2, 3, 4, 5]
-    # a tree given its own child_fn, k-adic or not, walks that function's
-    # regions: its records are built from them, two children a node
-    del built[:]
+
+
+def test_own_child_fn_records_are_built_from_its_regions():
+    # a tree given its own child_fn walks that function's regions: its
+    # records are built from them, two children a node
+    built = []
+
+    def child_fn(region, level, idx):
+        built.append(level)
+        side = float(region.half[0])
+        return cube(region.center - region.half + idx * side, side)
+
+    tree = MeasureTree(cube(np.zeros(1), 1.0), lambda level: (0.5, 0.5), child_fn)
     region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 4)
     assert sorted(set(built)) == [1, 2, 3, 4] and len(built) % 2 == 0
+
+
+def test_tree_k_is_the_arity_of_its_kadic_child_fn():
+    for n, k in [(1, 2), (1, 3), (2, 2), (3, 3)]:
+        assert lebesgue_tree(n, k=k).k == k
+        assert MeasureTree(cube(np.zeros(n), 1.0), lambda level: (1.0,),
+                           measure._KadicChildren(n, k)).k == k
+    assert binomial_tree().k == 2
+    # a tree with its own cube child_fn is no k-adic tree, whatever it splits into
+    assert _halving_tree(lambda level: (0.5, 0.5)).k is None
+    assert _own_kadic_tree().k is None
+    for make in (rotating_ball_tree, strip_block_tree):
+        assert make().k is None
 
 
 def _two_ball_tree(child_radius, parent_radius=1.0):
@@ -155,6 +180,20 @@ def test_node_and_branch_fan():
     assert sum(m for _, m in fan) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         tree.branch_fan(())
+    # a fan's masses are node_measure times the weights, bit for bit, and
+    # its regions are the children's
+    for make, depth in [(lambda: lebesgue_tree(2), 8), (binomial_tree, 20),
+                        (rotating_ball_tree, 4), (strip_block_tree, 5),
+                        (lambda: lebesgue_tree(1, k=3), 12)]:
+        tree, rng = make(), np.random.default_rng(depth)
+        for _ in range(20):
+            trail, _ = tree.sample_branch(rng, int(rng.integers(1, depth + 1)))
+            addr = trail[-1]
+            kids = tree.children(addr[:-1])
+            fan = tree.branch_fan(addr)
+            parent = tree.node_measure(addr[:-1])
+            assert [m.hex() for _, m in fan] == [(parent * w).hex() for _, w in kids]
+            assert [id(region) for region, _ in fan] == [id(region) for region, _ in kids]
 
 
 def test_out_of_range_child_index_raises():
@@ -163,6 +202,9 @@ def test_out_of_range_child_index_raises():
         tree.node((0, 2))
     with pytest.raises(IndexError):
         tree.children((0, -1))
+    for addr in [(2,), (0, -1), (1, 0, 5)]:
+        with pytest.raises(IndexError):
+            tree.branch_fan(addr)
 
 
 def test_children_memoized_identity():
@@ -1078,7 +1120,7 @@ def _own_kadic_tree():
         offset = np.array(np.unravel_index(idx, (2, 2)), dtype=float)
         return cube(region.center - region.half + offset * side, side)
 
-    return MeasureTree(cube(np.zeros(2), 1.0), _uneven_weights, child_fn, k=2)
+    return MeasureTree(cube(np.zeros(2), 1.0), _uneven_weights, child_fn)
 
 
 @pytest.mark.parametrize("make,x,r,depth", [
@@ -1278,7 +1320,7 @@ def test_level_walk_leaves_a_refused_child_to_the_dfs():
 
     def far_tree():
         return MeasureTree(cube(np.array([2.0 ** 40, 0.0]), 1.0), lambda level: (0.25,) * 4,
-                           measure._KadicChildren(2, 2), k=2)
+                           measure._KadicChildren(2, 2))
 
     query = RegionQuery(ball=Ball(np.array([2.0 ** 40 + 0.5, 0.5]), 0.3))
     assert measure._takes_level_walk(far_tree(), query, 12, None)
@@ -1292,10 +1334,40 @@ def test_level_walk_leaves_a_refused_child_to_the_dfs():
     assert shallow == measure._dfs(far_tree(), query, 7, None)
 
 
-def test_level_walk_leaves_fewer_weights_than_children_to_the_dfs():
-    # a kadic_tree whose weights name two of its four children walks those
-    # two, as the DFS does
-    query = RegionQuery(ball=Ball(np.array([0.43, 0.57]), 0.3))
-    halves = lambda: kadic_tree(2, 2, lambda level: (0.5, 0.5))
-    assert measure._level_walk(halves(), query, 9) is None
-    assert region_measure(halves(), query, 9) == measure._dfs(halves(), query, 9, None)
+def test_kadic_level_with_other_than_k_to_the_n_weights_is_refused():
+    # a k-adic level names every one of its k^n children
+    wide, narrow = (RegionQuery(ball=Ball(np.array([0.43, 0.57]), r)) for r in (0.3, 0.01))
+    for n, k, weights in [(2, 2, (0.5, 0.5)), (2, 2, (0.125,) * 8), (1, 3, (0.5, 0.5)),
+                          (2, 3, (0.25,) * 4)]:
+        fan = k ** n
+
+        def make():
+            return kadic_tree(n, k, lambda level: weights)
+
+        x = [0.7] * n
+        assert make().k == k
+        calls = {
+            "weights": lambda: make().weights(1),
+            "children": lambda: make().children(()),
+            "address_of_point": lambda: address_of_point(make(), x, 2),
+            "hom_estimate": lambda: hom_estimate(make(), 1, 4),
+            "large_child_frequency": lambda: large_child_frequency(
+                make(), x, 0, 1, 0.1, 1.0, 2),
+        }
+        if n == 2:
+            calls["region_measure, level walk"] = lambda: region_measure(make(), wide, 9)
+            calls["region_measure, DFS"] = lambda: region_measure(make(), narrow, 3)
+            assert measure._takes_level_walk(make(), wide, 9, None)
+            assert not measure._takes_level_walk(make(), narrow, 3, None)
+        else:
+            calls["region_measure"] = lambda: region_measure(make(), RegionQuery(
+                ball=Ball(np.array(x), 0.1)), 4)
+        for call in calls.values():
+            with pytest.raises(ValueError, match=f"needs k\\^n = {fan} child weights, "
+                                                 f"level 1 gives {len(weights)}"):
+                call()
+    # a level past the first is refused when it is first read
+    tree = kadic_tree(1, 2, lambda level: (0.5, 0.5) if level < 3 else (1.0,))
+    assert region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 2).depth_used == 2
+    with pytest.raises(ValueError, match="level 3 gives 1"):
+        region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 3)
