@@ -79,11 +79,13 @@ class Subspace:
     """A linear subspace of R^n given by an orthonormal frame.
 
     frame has shape (n - m, n): rows are orthonormal spanning vectors.
-    codim is the codimension m.
+    codim is the codimension m, and rows the frame's rows as float tuples,
+    taken when the subspace is built.
     """
 
     frame: np.ndarray
     codim: int = field(init=False)
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         f = np.atleast_2d(np.asarray(self.frame, dtype=float))
@@ -93,6 +95,7 @@ class Subspace:
             raise ValueError("frame is not orthonormal")
         object.__setattr__(self, "frame", f)
         object.__setattr__(self, "codim", f.shape[1] - f.shape[0])
+        object.__setattr__(self, "rows", tuple(map(tuple, f.tolist())))
 
     @property
     def ambient_dim(self) -> int:

@@ -126,17 +126,19 @@ class _Node:
     reference. A k-adic record is built from c and shape alone, and makes
     its Box region the first time it is read. Everything else a Box record
     keeps belongs to qc, the last ball-query center it was classified
-    against: dmin and dmax its distance bounds to qc, d and nd its offset
-    from qc and the offset's norm once a cone query at qc needed them
-    (else d is None), and pv the verdict of the plane cone row alone under
-    the plane key pk, (frame rows, opening), of the last plane-cone query
-    at qc that decided it. A change of qc resets d and pk.
+    against: dmin and dmax its distance bounds to qc; d its offset from qc,
+    and angle the triple (|d|, w, e) of the offset's norm,
+    w = sqrt(|d|^2 - rho^2) and the rounding bound e of the angle verdicts,
+    once a cone query at qc needed them (else d is None; see _classify);
+    and pv the verdict of the plane cone row alone under the plane key pk,
+    (frame rows, opening), of the last plane-cone query at qc that
+    classified it. A change of qc resets d and pk.
     Only the DFS of region_measure builds and reads records; the level walk
     classifies whole levels of a k-adic tree on arrays and builds none.
     """
 
     __slots__ = ("_region", "c", "shape", "kids", "mass", "depth", "qc", "dmin",
-                 "dmax", "pk", "pv", "d", "nd")
+                 "dmax", "pk", "pv", "d", "angle")
 
     def __init__(self, region, sibling: _Node | None = None, c=None, shape=None,
                  mass: float = 1.0, depth: int = 0):
@@ -351,17 +353,21 @@ class RegionQuery:
     unit vectors and planes must share the base's dimension; every opening
     lies in (0, 1].
 
-    The cones are kept as rows (plane, shape, a, excluded, vecs), each a
-    Lipschitz margin of the offset d from x, positive inside the open cone:
-    a |d| - dist(d, V) for the plane cone, and d . theta - a |d| otherwise,
-    with a = sqrt(1 - alpha^2) for X+ and a = alpha for H. vecs holds the
-    plane's frame rows, or the direction, as float tuples. For a ball query,
-    floats holds the center, the radius and the rounding bound (tol, tiny)
-    of _classify, on Python floats, and the plane key: (vecs, a) of a query
-    with a plane cone, else None. The key holds values only, so queries of
-    equal plane cone share it whatever their objects; a node record keeps
-    a plane verdict under it for its last center only. A box query leaves
-    floats unset.
+    The cones are kept as rows (plane, shape, a, excluded, vecs, b), each
+    an open cone of the offset d from x: dist(d, V) < a |d| for the plane
+    cone, with a = alpha, and d . theta > a |d| otherwise, with
+    a = sqrt(1 - alpha^2) for X+ and a = alpha for H. For a direction row a
+    is the cosine of the cone's half-angle about theta, and for the plane
+    row the sine of the largest angle to V; b is the other of sine and
+    cosine, alpha itself for X+ and sqrt((1 - alpha)(1 + alpha)) otherwise,
+    which does not cancel near alpha = 1. vecs holds the plane's frame
+    rows, or the direction, as float tuples. H of opening 1 is empty and
+    gets no row. For a ball query, floats holds the center, the radius and
+    the rounding bound (tol, tiny) of _classify, on Python floats, and the
+    plane key: (vecs, a) of a query with a plane cone, else None. The key
+    holds values only, so queries of equal plane cone share it whatever
+    their objects; a node record keeps a plane verdict under it for its
+    last center only. A box query leaves floats unset.
     """
 
     ball: Ball | None = None
@@ -373,50 +379,59 @@ class RegionQuery:
     floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.ball is None) == (self.box is None):
+        ball = self.ball
+        if (ball is None) == (self.box is None):
             raise ValueError("exactly one of ball or box must be given")
-        shape = np.shape(self.center)
+        center = ball.center if ball is not None else self.box.center
+        array = type(center) is np.ndarray
+        shape = center.shape if array else np.shape(center)
         if len(shape) != 1 or not shape[0]:
             raise ValueError("query center must be a non-empty vector")
         n = shape[0]
-        qc = tuple(map(float, self.center))
+        # a float64 array gives the floats of map(float, ...) in one call
+        qc = tuple(center.tolist() if array and center.dtype.char == "d"
+                   else map(float, center))
         if not all(map(math.isfinite, qc)):
             raise ValueError("query center must have finite coordinates")
-        if self.ball is not None:
-            if not 0.0 < self.ball.radius < math.inf:
+        if ball is not None:
+            if not 0.0 < ball.radius < math.inf:
                 raise ValueError("query ball radius must be positive and finite")
         elif np.shape(self.box.half) != (n,) or not all(0.0 < h < math.inf for h in self.box.half):
             raise ValueError(f"query box needs {n} positive finite half-widths")
-        for cone in (self.plane_cone, self.one_sided_cone, self.half_cone_excluded):
+        plane_cone, one_sided, half_cone = (self.plane_cone, self.one_sided_cone,
+                                            self.half_cone_excluded)
+        for cone in (plane_cone, one_sided, half_cone):
             if cone is not None and not 0.0 < cone[1] <= 1.0:
                 raise ValueError("cone opening alpha must lie in (0, 1]")
-        cones = []
-        if self.plane_cone is not None:
-            V, alpha = self.plane_cone
-            if V.ambient_dim != n:
+        cones, key = [], None
+        if plane_cone is not None:
+            V, alpha = plane_cone
+            if V.frame.shape[1] != n:
                 raise ValueError(f"cone plane must lie in R^{n}")
-            cones.append((True, V, alpha, False, tuple(map(tuple, V.frame.tolist()))))
-        for cone, excluded in ((self.one_sided_cone, False), (self.half_cone_excluded, True)):
+            vecs = V.rows
+            cones.append((True, V, alpha, False, vecs, math.sqrt((1.0 - alpha) * (1.0 + alpha))))
+            key = (vecs, alpha)
+        for cone, excluded in ((one_sided, False), (half_cone, True)):
             if cone is None:
                 continue
             theta, alpha = cone
             theta = np.asarray(theta, dtype=float)
             # np.linalg.norm's own expression for a 1-d float array
-            if theta.shape != (n,) or not abs(float(np.sqrt(theta.dot(theta))) - 1.0) <= 1e-12:
+            if theta.shape != (n,) or not abs(math.sqrt(theta.dot(theta)) - 1.0) <= 1e-12:
                 raise ValueError(f"cone direction must be a unit vector in R^{n}")
-            a = alpha if excluded else math.sqrt(max(0.0, 1.0 - alpha * alpha))
-            cones.append((False, theta, a, excluded, tuple(theta.tolist())))
+            if excluded:
+                if alpha == 1.0:  # d . theta > |d| holds nowhere
+                    continue
+                a, b = alpha, math.sqrt((1.0 - alpha) * (1.0 + alpha))
+            else:
+                a, b = math.sqrt(max(0.0, 1.0 - alpha * alpha)), alpha
+            cones.append((False, theta, a, excluded, tuple(theta.tolist()), b))
         object.__setattr__(self, "cones", tuple(cones))
-        if self.ball is not None:
+        if ball is not None:
             # In one dimension every sum in _classify has a single term, so no
             # rounding bound is needed; see _classify for the bound itself.
             tol, tiny = (0.0, 0.0) if n == 1 else (_ROUNDING_SLACK * (n + 2) ** 2 * _U, _TINY)
-            r = float(self.ball.radius)
-            key = None
-            if self.plane_cone is not None:
-                _, _, a, _, vecs = cones[0]
-                key = (vecs, a)
-            object.__setattr__(self, "floats", (qc, r, tol, tiny, key))
+            object.__setattr__(self, "floats", (qc, float(ball.radius), tol, tiny, key))
 
     @property
     def center(self) -> np.ndarray:
@@ -432,6 +447,11 @@ _U = 2.0 ** -53  # unit roundoff of a double
 _ROUNDING_SLACK = 8.0
 # absolute error of a norm whose squares underflow is below 2^-536
 _TINY = 2.0 ** -500
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| as _classify_reference takes it, by numpy's dot."""
+    return math.sqrt(v.dot(v))
 
 
 def _classify_base(region, query: RegionQuery) -> int:
@@ -459,27 +479,67 @@ def _classify_reference(region, query: RegionQuery) -> int:
     """Conservative three-way classification of a node region against a
     query, on numpy arrays: the reference that _classify reproduces.
 
-    Each cone margin is (1 + a)-Lipschitz, so over the node's bounding ball
-    it stays within (1 + a) rho of its value at the node center.
+    A cone row is decided from the angle the node subtends at x. The node
+    lies in its bounding ball B(c, rho); with d = c - x and |d| >= rho,
+    every point of that ball but x lies within angle delta of d's
+    direction, sin delta = rho / |d|. With w = sqrt(|d|^2 - rho^2) =
+    |d| cos delta and s = b rho, a, b the row's cosine and sine (see
+    RegionQuery):
+
+    - a direction row is inside when d . theta > a w + s and
+      rho < b |d| (the angle to theta plus delta stays below the cone's
+      half-angle), and outside when d . theta <= a w - s (that angle minus
+      delta reaches it);
+    - the plane row is inside when dist(d, V) < a w - s and rho < a |d|,
+      and outside when dist(d, V) >= a w + s and b w >= a rho (the angle to
+      V minus delta reaches the cone's, whose sum with delta stays within
+      pi / 2).
+
+    A node with |d| < rho may hold x and stays undecided. At |d| = rho the
+    ball meets x, which lies in no cone, and the side conditions leave only
+    outside verdicts. In one dimension a node with |d| >= rho lies on the
+    side of d: a row whose cone holds that side (d . theta > 0, or V the
+    whole line) is inside when |d| > rho, and any other row is outside.
     """
     verdict = _classify_base(region, query)
     if verdict == _OUTSIDE or not query.cones:
         return verdict
     rho = region.bounding_radius
     d = region.center - query.center
-    nd = math.sqrt(d.dot(d))
-    for plane, shape, a, excluded, _ in query.cones:
-        value = a * nd - shape.dist(d) if plane else float(d @ shape) - a * nd
-        margin = (1.0 + a) * rho
-        if value > margin:
-            if excluded:  # fully inside the excluded cone
-                return _OUTSIDE
-        elif value <= -margin:
-            if not excluded:
-                return _OUTSIDE
-        else:
+    nd = _norm(d)
+    if nd < rho:
+        return _UNDECIDED
+    w = math.sqrt((nd - rho) * (nd + rho))
+    for row in query.cones:
+        v = _row_reference(row, d, nd, w, rho)
+        if v == _UNDECIDED:
             verdict = _UNDECIDED
+        elif (v == _INSIDE) == row[3]:  # inside an excluded cone, or outside a cone
+            return _OUTSIDE
     return verdict
+
+
+def _row_reference(row, d: np.ndarray, nd: float, w: float, rho: float) -> int:
+    """_classify_reference's verdict of one cone row for a node with offset
+    d, |d| = nd >= rho and w = sqrt((nd - rho)(nd + rho))."""
+    plane, shape, a, _, vecs, b = row
+    if len(d) == 1:
+        if vecs != () if plane else d[0] * vecs[0] > 0.0:
+            return _INSIDE if nd > rho else _UNDECIDED
+        return _OUTSIDE
+    if plane:
+        dist = shape.dist(d)
+        if dist < a * w - b * rho and rho < a * nd:
+            return _INSIDE
+        if dist >= a * w + b * rho and b * w >= a * rho:
+            return _OUTSIDE
+        return _UNDECIDED
+    value = float(d @ shape)
+    if value > a * w + b * rho and rho < b * nd:
+        return _INSIDE
+    if value <= a * w - b * rho:
+        return _OUTSIDE
+    return _UNDECIDED
 
 
 def _classify(node: _Node, query: RegionQuery) -> int:
@@ -487,22 +547,36 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     Python floats for a Box node under a ball query, the pair that walks on
     k-adic trees classify; any other node or query takes the reference.
 
-    Coordinate differences, abs, max, + and single products round exactly as
-    numpy's elementwise operations do, so every one-dimensional query agrees
-    bit for bit. Sums of squares and dot products may round differently
-    from numpy's dot. Both lie within the query's bound tol * S + tiny of
-    the exact value, S the magnitudes of the compared operands (dmax + r for
-    the ball, 2 |d| for a cone margin), so a comparison whose sides are at
-    least that far apart decides the same way on both. A nearer one, a near
-    tie, takes the reference verdict for the node and is not stored.
+    Coordinate differences, abs, max, +, single products and square roots
+    round exactly as numpy's elementwise operations do, so every
+    one-dimensional query agrees bit for bit. Sums of squares and dot
+    products may round differently from numpy's dot, and so may |d| and
+    every value computed from it. Each compared difference lies within the
+    query's bound tol * S + tiny of the reference's, S the magnitudes of
+    its operands: dmax + r for the ball, 2 |d| for |d| against rho, and
+    |d| (2 + |d| / w) + rho for the angle verdicts. There |d| / w bounds
+    how far an error in |d| moves w = sqrt((|d| - rho)(|d| + rho)), the
+    cancellation near |d| = rho. A comparison whose sides are at least
+    that far apart decides the same way on both. A nearer one is a near
+    tie. A near tie of the ball takes the reference verdict for the node.
+    A near tie of |d| and rho takes the reference's |d|, and so its w,
+    which leave 2 |d| + rho as the angle verdicts' bound. A near tie of an
+    angle verdict decides that row by the reference's expressions
+    (_row_reference). At a center on a node's bounding sphere, such as a
+    dyadic point at a cube's corner, and at cone edges tangent to it, these
+    ties are common; taking the reference for the row alone is what makes
+    them cheap.
 
     Everything the record keeps belongs to its last query center: the
-    distance bounds, the offset d and |d| once a cone query at that center
-    reaches the node, and the verdict of the plane cone row alone under the
-    query's plane key. A query at another center recomputes the bounds and
-    resets the offset and the plane key. So the walks of one
-    worst_cone_ratio or halfspace_deficiency share bounds and offsets, and
-    the walks of one plane share its row across the direction net. Centers
+    distance bounds; the offset d and the triple angle of |d|, w (None
+    where the node may hold the center) and the bound e of the angle
+    verdicts (None in one dimension), once a cone query at that center
+    reaches the node; and the
+    verdict of the plane cone row alone under the query's plane key. A
+    query at another center recomputes the bounds and resets the offset
+    and the plane key. So the walks of one worst_cone_ratio or
+    halfspace_deficiency share bounds and offsets, and the walks of one
+    plane share its row across the direction net. Centers
     that compare equal share all of it, also where a coordinate is 0.0 in
     one and -0.0 in the other: their offsets differ at most in the sign of
     a zero coordinate, which no norm, product sum or comparison here can
@@ -547,42 +621,82 @@ def _classify(node: _Node, query: RegionQuery) -> int:
         s = 0.0
         for x in d:
             s += x * x
-        node.nd = math.sqrt(s)
-    nd = node.nd
-    e = tol * 2.0 * nd + tiny
-    for plane, _, a, excluded, vecs in query.cones:
+        nd = math.sqrt(s)
+        near = len(d) > 1 and not abs(nd - rho) >= tol * 2.0 * nd + tiny
+        if near:  # the reference's |d|, and so its w
+            nd = _norm(np.array(d))
+        w = math.sqrt((nd - rho) * (nd + rho)) if nd >= rho else None
+        if len(d) == 1 or w is None:
+            e = None
+        elif near:
+            e = tol * (2.0 * nd + rho) + tiny
+        else:
+            e = tol * (nd * (2.0 + nd / w) + rho) + tiny
+        node.angle = nd, w, e
+    nd, w, e = node.angle
+    if w is None:  # the node may hold qc
+        return _UNDECIDED
+    if e is None:  # one dimension: the node lies on the side of d
+        for plane, _, _, excluded, vecs, _ in query.cones:
+            if vecs != () if plane else d[0] * vecs[0] > 0.0:
+                if not nd > rho:
+                    verdict = _UNDECIDED
+                elif excluded:
+                    return _OUTSIDE
+            elif not excluded:
+                return _OUTSIDE
+        return verdict
+    for row in query.cones:
+        plane, _, a, excluded, vecs, b = row
         if plane and node.pk == pk:
             v = node.pv
         else:
-            if plane:  # a |d| - |d - F^T F d|, F the frame rows
+            aw, s = a * w, b * rho
+            if plane:  # dist(d, V) = |d - F^T F d|, F the frame rows
                 p = [0.0] * len(d)
-                for row in vecs:
+                for f_row in vecs:
                     pj = 0.0
-                    for f, x in zip(row, d):
+                    for f, x in zip(f_row, d):
                         pj += f * x
-                    for i, f in enumerate(row):
+                    for i, f in enumerate(f_row):
                         p[i] += f * pj
-                s = 0.0
+                s2 = 0.0
                 for x, pi in zip(d, p):
                     x -= pi
-                    s += x * x
-                value = a * nd - math.sqrt(s)
+                    s2 += x * x
+                dist = math.sqrt(s2)
+                t = dist - (aw - s)
+                if not abs(t) >= e:
+                    v = None
+                elif t < 0.0:
+                    t = a * nd - rho
+                    v = None if not abs(t) >= e else _INSIDE if t > 0.0 else _UNDECIDED
+                else:
+                    t = dist - (aw + s)
+                    if not abs(t) >= e:
+                        v = None
+                    elif t < 0.0:
+                        v = _UNDECIDED
+                    else:
+                        t = b * w - a * rho
+                        v = None if not abs(t) >= e else _OUTSIDE if t >= 0.0 else _UNDECIDED
             else:
                 value = 0.0
                 for x, th in zip(d, vecs):
                     value += x * th
-                value -= a * nd
-            margin = (1.0 + a) * rho
-            t = value - margin
-            if not abs(t) >= e:
-                return _classify_reference(node.region, query)
-            if t > 0.0:
-                v = _INSIDE
-            else:
-                t = value + margin
+                t = value - (aw + s)
                 if not abs(t) >= e:
-                    return _classify_reference(node.region, query)
-                v = _OUTSIDE if t <= 0.0 else _UNDECIDED
+                    v = None
+                elif t > 0.0:
+                    t = b * nd - rho
+                    v = None if not abs(t) >= e else _INSIDE if t > 0.0 else _UNDECIDED
+                else:
+                    t = value - (aw - s)
+                    v = None if not abs(t) >= e else _OUTSIDE if t <= 0.0 else _UNDECIDED
+            if v is None:  # a near tie: this row by the reference's expressions
+                dv = np.array(d)
+                nr = _norm(dv)
+                v = _row_reference(row, dv, nr, math.sqrt((nr - rho) * (nr + rho)), rho)
             if plane:
                 node.pk, node.pv = pk, v
         if v == _UNDECIDED:
@@ -605,9 +719,9 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
     """_classify's verdicts for the Box nodes whose centers are the rows of
     centers and whose extent is shape, under a ball query: the same float
     expressions, term by term and in the same order, on numpy arrays, whose
-    elementwise operations round as Python's do. A row whose node is a near
-    tie takes _classify_reference's verdict, as in _classify. Nothing is
-    read from or stored in a record."""
+    elementwise operations round as Python's do. A row whose node meets a
+    near tie of any kind takes _classify_reference's verdict, which is
+    _classify's. Nothing is read from or stored in a record."""
     qc, qext, tol, tiny, _ = query.floats
     g = np.abs(centers - qc)  # Box.dist_bounds; a lo <= 0 adds 0.0
     lo, hi = np.maximum(g - shape.half, 0.0), g + shape.half
@@ -625,23 +739,55 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
         rho = shape.rho
         d = centers - qc
         nd = np.sqrt(_column_sum(d * d))
-        e = tol * 2.0 * nd + tiny
-        for plane, _, a, excluded, vecs in query.cones:
-            if plane:  # a |d| - |d - F^T F d|, F the frame rows
+        t = nd - rho
+        apex = ~(np.abs(t) >= tol * 2.0 * nd + tiny)
+        tie |= live & apex
+        apex |= t < 0.0  # the node may hold the center
+        verdict[live & apex] = _UNDECIDED
+        live &= ~apex
+        if d.shape[1] == 1:  # the node lies on the side of d
+            for plane, _, _, excluded, vecs, _ in query.cones:
+                held = np.full(len(d), vecs != ()) if plane else d[:, 0] * vecs[0] > 0.0
+                verdict[live & held & ~(nd > rho)] = _UNDECIDED
+                out = live & ((held & (nd > rho)) if excluded else ~held)
+                verdict[out] = _OUTSIDE
+                live &= ~out
+            cones = ()
+        else:
+            w = np.sqrt(np.where(live, t * (nd + rho), 1.0))
+            e = tol * (nd * (2.0 + nd / w) + rho) + tiny
+            cones = query.cones
+        for plane, _, a, excluded, vecs, b in cones:
+            aw, s = a * w, b * rho
+            if plane:  # dist(d, V) = |d - F^T F d|, F the frame rows
                 p = 0.0
                 for row in vecs:
                     p = p + np.multiply.outer(_column_sum(d * row), row)
                 x = d - p
-                value = a * nd - np.sqrt(_column_sum(x * x))
+                dist = np.sqrt(_column_sum(x * x))
+                t = dist - (aw - s)
+                row_tie = ~(np.abs(t) >= e)
+                first = t < 0.0
+                t = a * nd - rho
+                row_tie |= first & ~(np.abs(t) >= e)
+                v_in = first & (t > 0.0)
+                t = dist - (aw + s)
+                row_tie |= ~first & ~(np.abs(t) >= e)
+                second = ~first & (t >= 0.0)
+                t = b * w - a * rho
+                row_tie |= second & ~(np.abs(t) >= e)
+                v_out = second & (t >= 0.0)
             else:
-                value = _column_sum(d * vecs) - a * nd
-            margin = (1.0 + a) * rho
-            t = value - margin
-            v_in = t > 0.0
-            row_tie = ~(np.abs(t) >= e)
-            t = value + margin
-            v_out = ~v_in & (t <= 0.0)
-            row_tie |= ~v_in & ~(np.abs(t) >= e)
+                value = _column_sum(d * vecs)
+                t = value - (aw + s)
+                row_tie = ~(np.abs(t) >= e)
+                first = t > 0.0
+                t = b * nd - rho
+                row_tie |= first & ~(np.abs(t) >= e)
+                v_in = first & (t > 0.0)
+                t = value - (aw - s)
+                row_tie |= ~first & ~(np.abs(t) >= e)
+                v_out = ~first & (t <= 0.0)
             tie |= live & row_tie
             live &= ~row_tie
             verdict[live & ~v_in & ~v_out] = _UNDECIDED

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conelab import measure
 from conelab.constructions import (binomial_tree, constant_binomial_tree,
                                    rotating_ball_tree, strip_block_tree)
-from conelab.density import worst_cone_ratio
+from conelab.density import conical_ratio, ratio_interval, worst_cone_ratio
 from conelab.geometry import Subspace, build_direction_net, build_subspace_net
 from conelab.homogeneity import (doubling_constant, doubling_frequency, hom_estimate,
                                  large_child_frequency)
@@ -483,6 +483,9 @@ def test_query_direction_tolerance_matches_linalg_norm(base, sign, kind):
 
 # (lo, hi, depth_used) recorded with the three separate cone blocks that the
 # single cone loop replaced; every enclosure must stay bit for bit the same.
+# The cases with cone rows were recorded again when the cone margin gave way
+# to the angle verdict: each new enclosure lies inside its old one and holds
+# the exact area where one is known (test_cone_goldens_hold_exact_areas).
 _V1 = Subspace(np.array([[1.0, 0.0]]))
 _VDIAG = Subspace(np.array([[math.sqrt(0.5), math.sqrt(0.5)]]))
 _C = np.array([0.5, 0.5])
@@ -509,37 +512,37 @@ GOLDEN_REGION_MEASURE = [
      (0.10079764263577871, 0.10621687073447741, 5)),
     ("plane-half", lambda: lebesgue_tree(2),
      dict(ball=Ball(_C, 0.3), plane_cone=(_V1, 0.5), half_cone_excluded=(TILT, 0.5)),
-     8, None, (0.0435791015625, 0.0511474609375, 8)),
+     8, None, (0.044708251953125, 0.049560546875, 8)),
     ("plane-diag", lambda: lebesgue_tree(2),
      dict(ball=Ball(np.array([0.4, 0.45]), 0.2), plane_cone=(_VDIAG, 0.3)), 8, None,
-     (0.0207977294921875, 0.0280609130859375, 8)),
+     (0.0215911865234375, 0.0272369384765625, 8)),
     ("half-only", lambda: lebesgue_tree(2),
      dict(ball=Ball(_C, 0.25), half_cone_excluded=(TILT, 0.9)), 8, None,
-     (0.1594696044921875, 0.1781768798828125, 8)),
+     (0.163238525390625, 0.172760009765625, 8)),
     ("one-sided-plus", lambda: lebesgue_tree(2),
      dict(ball=Ball(_OFF, 0.3), one_sided_cone=(TILT, 0.6)), 8, None,
-     (0.051788330078125, 0.063629150390625, 8)),
+     (0.05535888671875, 0.0605926513671875, 8)),
     ("one-sided-minus", lambda: lebesgue_tree(2),
      dict(ball=Ball(_OFF, 0.3), one_sided_cone=(-TILT, 0.6)), 8, None,
-     (0.0518035888671875, 0.063629150390625, 8)),
+     (0.055389404296875, 0.060577392578125, 8)),
     ("box-plane", lambda: lebesgue_tree(2),
      dict(box=Box(_C, np.array([0.3, 0.2])), plane_cone=(_V1, 0.4)), 7, None,
-     (0.06640625, 0.092529296875, 7)),
+     (0.070068359375, 0.08837890625, 7)),
     ("plane-3d", lambda: lebesgue_tree(3),
      dict(ball=Ball(np.array([0.5, 0.4, 0.6]), 0.3),
           plane_cone=(Subspace(np.eye(3)[:2]), 0.7),
           half_cone_excluded=(np.array([0.0, 0.0, 1.0]), 0.7)), 4, None,
-     (0.013671875, 0.1748046875, 4)),
+     (0.029296875, 0.1484375, 4)),
     # 1-d cones whose margins meet the node boundaries exactly: pins <= and >
     ("edge-one-sided-1d", lambda: lebesgue_tree(1),
      dict(ball=Ball(np.array([0.5]), 0.25), one_sided_cone=(np.array([1.0]), 1.0)), 8,
      None, (0.24609375, 0.25390625, 8)),
     ("edge-half-1d", lambda: lebesgue_tree(1),
      dict(ball=Ball(np.array([0.5]), 0.25), half_cone_excluded=(np.array([1.0]), 0.5)),
-     8, None, (0.25, 0.26171875, 8)),
+     8, None, (0.25, 0.2578125, 8)),
     ("early-stop", lambda: lebesgue_tree(2),
      dict(ball=Ball(_C, 0.3), plane_cone=(_V1, 0.5), half_cone_excluded=(TILT, 0.5)),
-     10, 0.05, (0.046234130859375, 0.048061370849609375, 10)),
+     10, 0.05, (0.04652976989746094, 0.04773521423339844, 10)),
 ]
 
 
@@ -549,6 +552,29 @@ GOLDEN_REGION_MEASURE = [
 def test_region_measure_golden(make_tree, query, depth, stop, expect):
     iv = region_measure(make_tree(), RegionQuery(**query), depth, early_stop_lo=stop)
     assert (iv.lo, iv.hi, iv.depth_used) == expect
+
+
+# Exact measures of the golden cone queries whose ball lies in the unit cube.
+# plane-half: the wedge of V about 0 lies in H about TILT, whose half-angle
+# is 60 degrees, and the wedge about pi misses it, so one sixth of the disk
+# is left.
+_GOLDEN_EXACT = {
+    "plane-half": math.pi * 0.09 / 6.0,
+    "early-stop": math.pi * 0.09 / 6.0,
+    "plane-diag": 2.0 * math.asin(0.3) * 0.04,
+    "half-only": (1.0 - math.acos(0.9) / math.pi) * math.pi * 0.0625,
+    "one-sided-plus": math.asin(0.6) * 0.09,
+    "one-sided-minus": math.asin(0.6) * 0.09,
+    "edge-one-sided-1d": 0.25,
+    "edge-half-1d": 0.25,
+}
+
+
+def test_cone_goldens_hold_exact_areas():
+    goldens = {case[0]: case[-1] for case in GOLDEN_REGION_MEASURE}
+    for name, exact in _GOLDEN_EXACT.items():
+        lo, hi, _ = goldens[name]
+        assert lo <= exact <= hi, name
 
 
 # tests/sampling_golden.json holds sampled points, node regions and masses,
@@ -617,19 +643,24 @@ def test_norm_is_sqrt_of_self_dot(n):
 
 
 def _verdicts(node, query):
-    """(kernel verdict, reference verdict, whether the kernel fell back) for
-    a node record."""
-    reference, calls = measure._classify_reference, []
+    """(kernel verdict, reference verdict, whether the kernel fell back to
+    the reference's verdict of the node or of a cone row) for a node
+    record."""
+    reference, row, calls = measure._classify_reference, measure._row_reference, []
 
     def counting(r, q):
         calls.append(1)
         return reference(r, q)
 
-    measure._classify_reference = counting
+    def counting_row(*args):
+        calls.append(1)
+        return row(*args)
+
+    measure._classify_reference, measure._row_reference = counting, counting_row
     try:
         fast = measure._classify(node, query)
     finally:
-        measure._classify_reference = reference
+        measure._classify_reference, measure._row_reference = reference, row
     return fast, reference(node.region, query), bool(calls)
 
 
@@ -649,8 +680,11 @@ def _unit(pick, n):
 def _near_tie_case(pick):
     """A node region of a dyadic cube and a query whose decision sits within
     a few ulps of its threshold: a ball radius at the node's dmin or dmax,
-    box half-widths at the node's face gaps, or a cone opening that puts a
-    margin at +-(1 + a) rho. Returns None for an opening outside (0, 1]."""
+    box half-widths at the node's face gaps, or a cone opening at one of
+    the angle verdict's bounds, the angle to the cone's axis or plane plus
+    or minus the angle delta the node subtends, or at a side condition.
+    For cones the center is sometimes a corner of the cube, where |d| and
+    rho tie. Returns None for an opening outside (0, 1]."""
     n, level = pick(1, 3), pick(1, 30)
     side = 2.0 ** -level
     region = cube([pick(0, 2 ** level - 1) * side for _ in range(n)], side)
@@ -668,10 +702,16 @@ def _near_tie_case(pick):
         half = [_nudge(g - e if pick(0, 1) and g > e else g + e, pick(-3, 3))
                 for g, e in zip(gap, ext)]
         return region, RegionQuery(box=Box(x, np.array(half)))
+    if isinstance(region, Box) and not pick(0, 3):
+        x = region.center + np.array([pick(-1, 1) for _ in range(n)]) * region.half
     d = region.center - x
     nd, rho = math.sqrt(d.dot(d)), region.bounding_radius
-    theta, cone, sign = _unit(pick, n), pick(0, 2), 1 - 2 * pick(0, 1)
-    if cone == 0:  # a nd - dist(d, V) = sign (1 + a) rho
+    if nd == 0.0:
+        return None
+    sin_delta = min(rho / nd, 1.0)
+    delta, cos_delta = math.asin(sin_delta), math.sqrt(1.0 - sin_delta * sin_delta)
+    theta, cone, sign, edge = _unit(pick, n), pick(0, 2), 1 - 2 * pick(0, 1), pick(0, 2)
+    if cone == 0:  # the plane cone: sin(psi +- delta), sin delta or cos delta
         frame = [theta]
         if n == 3 and pick(0, 1):
             w = _unit(pick, n)
@@ -679,19 +719,17 @@ def _near_tie_case(pick):
             if w.dot(w) > 0.1:
                 frame.append(w / math.sqrt(w.dot(w)))
         V = Subspace(np.array(frame))
-        a = (V.dist(d) + sign * rho) / (nd - sign * rho) if nd != sign * rho else -1.0
-        alpha = _nudge(a, pick(-3, 3))
-        parts = dict(plane_cone=(V, alpha))
-    else:  # d . theta - a nd = sign (1 + a) rho
-        a = (d @ theta - sign * rho) / (nd + sign * rho) if nd != -sign * rho else -1.0
+        psi = math.asin(min(V.dist(d) / nd, 1.0))
+        a = [math.sin(psi + sign * delta), sin_delta, cos_delta][edge]
+        parts = dict(plane_cone=(V, _nudge(a, pick(-3, 3))))
+    else:  # the angle phi to theta: phi0 = phi +- delta, or sin phi0 = sin delta
+        phi = math.acos(max(-1.0, min(1.0, float(d @ theta) / nd)))
+        phi0 = phi + sign * delta if edge else delta
         if cone == 1:
-            if not 0.0 <= a < 1.0:
-                return None
-            alpha = _nudge(math.sqrt(1.0 - a * a), pick(-3, 3))
-            parts = dict(one_sided_cone=(theta, alpha))
+            parts = dict(one_sided_cone=(theta, _nudge(math.sin(phi0), pick(-3, 3))))
         else:
-            alpha = _nudge(a, pick(-3, 3))
-            parts = dict(half_cone_excluded=(theta, alpha))
+            parts = dict(half_cone_excluded=(theta, _nudge(math.cos(phi0), pick(-3, 3))))
+    alpha = next(iter(parts.values()))[1]
     if not 0.0 < alpha <= 1.0:
         return None
     return region, RegionQuery(ball=Ball(x, 4.0), **parts)
@@ -708,7 +746,8 @@ def test_classify_matches_reference_at_near_ties(data):
 
 def test_classify_falls_back_only_at_near_ties_in_two_or_more_dimensions():
     rng = np.random.default_rng(7)
-    seen = {1: [0, 0], 2: [0, 0], 3: [0, 0]}  # n -> [cases, fallbacks]
+    # (n, whether the query has cones) -> [cases, fallbacks]
+    seen = {(n, cones): [0, 0] for n in (1, 2, 3) for cones in (False, True)}
     for _ in range(9000):
         case = _near_tie_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
         # the kernel's only pair: a Box node under a ball query
@@ -716,12 +755,13 @@ def test_classify_falls_back_only_at_near_ties_in_two_or_more_dimensions():
             continue
         fast, ref, fell_back = _verdicts(measure._Node(case[0]), case[1])
         assert fast == ref
-        n = len(case[1].center)
-        seen[n][0] += 1
-        seen[n][1] += fell_back
-    assert all(cases > 300 for cases, _ in seen.values())
-    assert seen[1][1] == 0  # one-dimensional sums are exact
-    assert seen[2][1] > 0 and seen[3][1] > 0
+        counts = seen[len(case[1].center), bool(case[1].cones)]
+        counts[0] += 1
+        counts[1] += fell_back
+    assert all(cases > 200 for cases, _ in seen.values())
+    # one-dimensional sums are exact, and cone rows are decided by the side of d
+    assert seen[1, False][1] == seen[1, True][1] == 0
+    assert all(seen[n, cones][1] > 0 for n in (2, 3) for cones in (False, True))
 
 
 def _check_every_node(monkeypatch):
@@ -894,10 +934,13 @@ def test_plane_cache_matches_reference_and_fresh_trees(monkeypatch, n, depth):
 def _rewalk_without_roots(monkeypatch, query):
     """Warm a 2-d tree with walks of query(theta) at three directions, then
     re-walk them in another order; asserts equal enclosures, no reference
-    verdict, and no square root in the re-walks."""
+    verdict, and no square root in the re-walks. The queries of the
+    re-walks are built before the count starts: a query takes square roots
+    of its own, for the sine of each cone and its unit check."""
     thetas = [np.array([0.6, 0.8]), np.array([-0.8, 0.6]), np.array([0.0, -1.0])]
     tree = lebesgue_tree(2)
     warm = [region_measure(tree, query(theta), 8) for theta in thetas]
+    rewalks = [query(theta) for theta in thetas[::-1] + thetas]
     roots, calls = [], [0, 0]  # [_classify calls, reference calls]
 
     class CountingMath:
@@ -922,8 +965,8 @@ def _rewalk_without_roots(monkeypatch, query):
     monkeypatch.setattr(measure, "math", CountingMath())
     monkeypatch.setattr(measure, "_classify", counting_kernel)
     monkeypatch.setattr(measure, "_classify_reference", counting_reference)
-    for theta, before in zip(thetas[::-1] + thetas, warm[::-1] + warm):
-        assert region_measure(tree, query(theta), 8) == before
+    for rewalk, before in zip(rewalks, warm[::-1] + warm):
+        assert region_measure(tree, rewalk, 8) == before
     assert calls[0] > 3000 and calls[1] == 0
     assert roots == []
 
@@ -1031,11 +1074,12 @@ def _uneven_tree():
     return kadic_tree(2, 2, _uneven_weights)
 
 
-def _reference_dfs(tree, query, depth_budget, early_stop_lo=None):
+def _reference_dfs(tree, query, depth_budget, early_stop_lo=None, classify=None):
     """region_measure's DFS as a walk of (region, mass, depth) tuples: child
     regions from tree.child, masses multiplied along the walk, and the numpy
-    reference verdict for each node. Returns the enclosure and the number of
-    nodes popped."""
+    reference verdict for each node, or classify(region, query)'s. Returns
+    the enclosure and the number of nodes popped."""
+    classify = classify or measure._classify_reference
     lo = hi = 0.0
     depth_used = pops = 0
     stack = [(tree.root_region, 1.0, 0)]
@@ -1043,7 +1087,7 @@ def _reference_dfs(tree, query, depth_budget, early_stop_lo=None):
         region, mass, depth = stack.pop()
         pops += 1
         depth_used = max(depth_used, depth)
-        verdict = measure._classify_reference(region, query)
+        verdict = classify(region, query)
         if verdict == measure._INSIDE:
             lo += mass
             hi += mass
@@ -1072,10 +1116,8 @@ _DFS_TREES = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_dfs_equals_a_tuple_dfs_and_classifies_each_pop_once(data):
-    draw = data.draw
+def _dfs_case(draw):
+    """A tree, a query with any base and cone, a budget and an early stop."""
     name = draw(st.sampled_from(sorted(_DFS_TREES)))
     make, n, most, low, high = _DFS_TREES[name]
     depth = draw(st.integers(most // 2, most))
@@ -1092,7 +1134,13 @@ def test_dfs_equals_a_tuple_dfs_and_classifies_each_pop_once(data):
             "one-sided": dict(one_sided_cone=(theta, alpha)),
             "half": dict(half_cone_excluded=(theta, alpha))}.get(kind, {})
     query = RegionQuery(**base, **cone)
-    early_stop = draw(st.sampled_from([None, 0.0, 0.01, 0.2]))
+    return make, query, depth, draw(st.sampled_from([None, 0.0, 0.01, 0.2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dfs_equals_a_tuple_dfs_and_classifies_each_pop_once(data):
+    make, query, depth, early_stop = _dfs_case(data.draw)
     want, pops = _reference_dfs(make(), query, depth, early_stop)
 
     kernel, calls = measure._classify, [0]
@@ -1371,3 +1419,96 @@ def test_kadic_level_with_other_than_k_to_the_n_weights_is_refused():
     assert region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 2).depth_used == 2
     with pytest.raises(ValueError, match="level 3 gives 1"):
         region_measure(tree, RegionQuery(ball=Ball(np.array([0.3]), 0.1)), 3)
+
+
+# ---------------------------------------------------------------------------
+# The angle verdict against the cone margin it replaced
+
+
+def _margin_reference(region, query):
+    """The cone margin verdict that the angle verdict replaced, kept as an
+    oracle. Each cone row of the query is a (1 + a)-Lipschitz function of
+    the offset d from the query center, positive inside the open cone:
+    a |d| - dist(d, V) for the plane cone and d . theta - a |d| otherwise.
+    A row is decided where its value at the node center clears (1 + a) rho.
+    The rows are the query's own, so an empty H of opening 1 has none."""
+    verdict = measure._classify_base(region, query)
+    if verdict == measure._OUTSIDE or not query.cones:
+        return verdict
+    rho = region.bounding_radius
+    d = region.center - query.center
+    nd = math.sqrt(d.dot(d))
+    for plane, shape, a, excluded, _, _ in query.cones:
+        value = a * nd - shape.dist(d) if plane else float(d @ shape) - a * nd
+        margin = (1.0 + a) * rho
+        if value > margin:
+            if excluded:
+                return measure._OUTSIDE
+        elif value <= -margin:
+            if not excluded:
+                return measure._OUTSIDE
+        else:
+            verdict = measure._UNDECIDED
+    return verdict
+
+
+def _margin_dfs(tree, query, depth):
+    """The margin's enclosure by the tuple DFS. Every node it pops must get
+    the margin's verdict from the angle verdict too, wherever the margin
+    decides it."""
+    def classify(region, q):
+        margin = _margin_reference(region, q)
+        if margin != measure._UNDECIDED:
+            assert measure._classify_reference(region, q) == margin, region
+        return margin
+
+    return _reference_dfs(tree, query, depth, classify=classify)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_angle_enclosures_lie_inside_margin_enclosures(data):
+    # the query families of the DFS and level-walk tests, without early stop
+    if data.draw(st.booleans()):
+        make, query, depth, _ = _dfs_case(data.draw)
+    else:
+        make, query, depth = _level_walk_case(data.draw)
+    margin = _margin_dfs(make(), query, depth)
+    got = region_measure(make(), query, depth)
+    # the two sum the masses of other leaves in another order, so their
+    # bounds may differ by the rounding of the masses and the sums
+    ulps = (4 * depth + 16) * 2.0 ** -52
+    assert margin.lo <= got.lo + ulps and got.hi <= margin.hi + ulps
+    assert got.depth_used <= margin.depth_used
+
+
+@pytest.mark.parametrize("depth", [6, 8, 10])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+def test_ball_without_half_cone_holds_the_exact_sector(alpha, depth):
+    # B \ H(x, theta, alpha) is a sector of angle 2 (pi - acos(alpha)); H of
+    # opening 1 is empty, so the query is then the ball alone
+    x, r = np.array([0.43, 0.57]), 0.14
+    theta = np.array([math.cos(0.7), math.sin(0.7)])
+    query = RegionQuery(ball=Ball(x, r), half_cone_excluded=(theta, alpha))
+    exact = (1.0 - math.acos(alpha) / math.pi) * math.pi * r * r
+    got = region_measure(lebesgue_tree(2), query, depth)
+    margin = _margin_dfs(lebesgue_tree(2), query, depth)
+    assert got.lo <= exact <= got.hi
+    assert margin.lo <= got.lo and got.hi <= margin.hi
+    if alpha < 1.0:
+        assert got.width < margin.width
+    else:
+        assert got == region_measure(lebesgue_tree(2), RegionQuery(ball=Ball(x, r)), depth)
+
+
+def test_plane_and_half_cone_ratio_in_three_dimensions():
+    x, r, depth = np.array([0.43, 0.57, 0.51]), 0.1, 7
+    V, theta, alpha = Subspace(np.eye(3)[:2]), np.array([1.0, 0.0, 0.0]), 0.25
+    got = conical_ratio(lebesgue_tree(3), x, r, V, theta, alpha, depth)
+    den = region_measure(lebesgue_tree(3), RegionQuery(ball=Ball(x, r)), depth)
+    num = _margin_dfs(lebesgue_tree(3), RegionQuery(
+        ball=Ball(x, r), plane_cone=(V, alpha), half_cone_excluded=(theta, alpha)), depth)
+    margin = ratio_interval(num, den)
+    assert (round(margin.lo, 3), round(margin.hi, 3)) == (0.048, 0.326)
+    assert margin.lo <= got.lo and got.hi <= margin.hi
+    assert got.width < margin.width
