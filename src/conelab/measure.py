@@ -719,9 +719,11 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
     """_classify's verdicts for the Box nodes whose centers are the rows of
     centers and whose extent is shape, under a ball query: the same float
     expressions, term by term and in the same order, on numpy arrays, whose
-    elementwise operations round as Python's do. A row whose node meets a
-    near tie of any kind takes _classify_reference's verdict, which is
-    _classify's. Nothing is read from or stored in a record."""
+    elementwise operations round as Python's do. Near ties are met as in
+    _classify: a node at a near tie of the ball takes _classify_reference's
+    verdict, a near tie of |d| and rho takes the reference's |d|, and a near
+    tie of a cone row takes _row_reference for that row. Nothing is read
+    from or stored in a record."""
     qc, qext, tol, tiny, _ = query.floats
     g = np.abs(centers - qc)  # Box.dist_bounds; a lo <= 0 adds 0.0
     lo, hi = np.maximum(g - shape.half, 0.0), g + shape.half
@@ -739,10 +741,10 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
         rho = shape.rho
         d = centers - qc
         nd = np.sqrt(_column_sum(d * d))
-        t = nd - rho
-        apex = ~(np.abs(t) >= tol * 2.0 * nd + tiny)
-        tie |= live & apex
-        apex |= t < 0.0  # the node may hold the center
+        near = live & ~(np.abs(nd - rho) >= tol * 2.0 * nd + tiny)
+        for i in np.flatnonzero(near):  # the reference's |d|, and so its w
+            nd[i] = _norm(d[i])
+        apex = nd < rho  # the node may hold the center
         verdict[live & apex] = _UNDECIDED
         live &= ~apex
         if d.shape[1] == 1:  # the node lies on the side of d
@@ -754,15 +756,17 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
                 live &= ~out
             cones = ()
         else:
-            w = np.sqrt(np.where(live, t * (nd + rho), 1.0))
-            e = tol * (nd * (2.0 + nd / w) + rho) + tiny
+            w = np.sqrt(np.where(live, (nd - rho) * (nd + rho), 1.0))
+            e = np.where(near, tol * (2.0 * nd + rho) + tiny,
+                         tol * (nd * (2.0 + nd / np.where(near, 1.0, w)) + rho) + tiny)
             cones = query.cones
-        for plane, _, a, excluded, vecs, b in cones:
+        for row in cones:
+            plane, _, a, excluded, vecs, b = row
             aw, s = a * w, b * rho
             if plane:  # dist(d, V) = |d - F^T F d|, F the frame rows
                 p = 0.0
-                for row in vecs:
-                    p = p + np.multiply.outer(_column_sum(d * row), row)
+                for f_row in vecs:
+                    p = p + np.multiply.outer(_column_sum(d * f_row), f_row)
                 x = d - p
                 dist = np.sqrt(_column_sum(x * x))
                 t = dist - (aw - s)
@@ -788,6 +792,10 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
                 t = value - (aw - s)
                 row_tie |= ~first & ~(np.abs(t) >= e)
                 v_out = ~first & (t <= 0.0)
+            for i in np.flatnonzero(live & row_tie):  # this row by the reference's expressions
+                nr = _norm(d[i])
+                v = _row_reference(row, d[i], nr, math.sqrt((nr - rho) * (nr + rho)), rho)
+                v_in[i], v_out[i], row_tie[i] = v == _INSIDE, v == _OUTSIDE, False
             tie |= live & row_tie
             live &= ~row_tie
             verdict[live & ~v_in & ~v_out] = _UNDECIDED

@@ -1430,8 +1430,11 @@ def _margin_reference(region, query):
     oracle. Each cone row of the query is a (1 + a)-Lipschitz function of
     the offset d from the query center, positive inside the open cone:
     a |d| - dist(d, V) for the plane cone and d . theta - a |d| otherwise.
-    A row is decided where its value at the node center clears (1 + a) rho.
-    The rows are the query's own, so an empty H of opening 1 has none."""
+    A row is decided where its value at the node center clears (1 + a) rho,
+    here widened by 1e-12 (|d| + rho): the plain margin, rounded, decides
+    some nodes that hold the center, and the oracle makes no decision
+    within its own rounding. The rows are the query's own, so an empty H
+    of opening 1 has none."""
     verdict = measure._classify_base(region, query)
     if verdict == measure._OUTSIDE or not query.cones:
         return verdict
@@ -1440,7 +1443,7 @@ def _margin_reference(region, query):
     nd = math.sqrt(d.dot(d))
     for plane, shape, a, excluded, _, _ in query.cones:
         value = a * nd - shape.dist(d) if plane else float(d @ shape) - a * nd
-        margin = (1.0 + a) * rho
+        margin = (1.0 + a) * rho + 1e-12 * (nd + rho)
         if value > margin:
             if excluded:
                 return measure._OUTSIDE
