@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import in_one_sided_cone, random_unit_vectors, unit_vector
+from .validate import require_int
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ def search_counterexample_set(n: int, alpha: float, size: int, trials: int,
     """
     if size < 3:
         raise ValueError("size must be at least 3")
+    require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         if trial % 2 == 0:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measure import Ball, Box, MeasureTree, RegionQuery, kadic_tree, region_measure
+from .validate import require_int
 
 
 # ---------------------------------------------------------------------------
@@ -494,5 +495,6 @@ def support_point(tree: MeasureTree, levels: int, seed: int = 0):
     Also returns the visited addresses so callers can evaluate per-level
     statistics along the branch.
     """
+    require_int(seed, "seed", 0)
     trail, region = tree.sample_branch(np.random.default_rng(seed), levels)
     return np.asarray(region.center, dtype=float), trail

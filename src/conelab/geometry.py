@@ -279,9 +279,11 @@ def build_direction_net(n: int, alpha: float, seed: int = 0) -> DirectionNet:
     certificate has slack; it stops after 10,000 rejections in a row. The
     draws are those of random_unit_vectors(n, 1, default_rng(seed)), one
     call per draw, taken in chunks by _greedy_pack; the net is the one a
-    per-draw loop keeps, bit for bit. n must be an integer >= 1.
+    per-draw loop keeps, bit for bit. n >= 1 and seed >= 0 must be
+    integers.
     """
     require_int(n, "n", 1)
+    require_int(seed, "seed", 0)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     beta = direction_net_beta(alpha)
@@ -335,10 +337,12 @@ def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
     default_rng(seed)), one call per sample, drawn and orthonormalized in
     chunks by _greedy_pack; every sample passes the Subspace orthonormality
     check, and the net is the one a per-sample loop keeps, bit for bit.
-    n >= 1, 0 <= m <= n - 1 and rejection_streak >= 1 must be integers.
+    n >= 1, 0 <= m <= n - 1, seed >= 0 and rejection_streak >= 1 must be
+    integers.
     """
     require_int(n, "n", 1)
     require_int(m, "m", 0)
+    require_int(seed, "seed", 0)
     require_int(rejection_streak, "rejection_streak", 1)
     if not m <= n - 1:
         raise ValueError("m must satisfy 0 <= m <= n-1")

@@ -306,6 +306,7 @@ class MeasureTree:
     def sample_points(self, count: int, depth: int, seed: int) -> np.ndarray:
         """Draw count points mu-distributed to the given depth (region centers)."""
         require_int(count, "count", 1)
+        require_int(seed, "seed", 0)
         rng = np.random.default_rng(seed)
         out = np.empty((count, self.ambient_dim))
         for i in range(count):
@@ -454,6 +455,54 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+# The float expressions of a cone row, written once for _classify and
+# _classify_rows. Their operands are given per axis, as Python floats or as
+# numpy columns, whose elementwise operations round as Python's do. No
+# helper assigns in place, so a caller's columns are never changed.
+
+
+def _products(xs, ys):
+    """The sum of the products x * y, from 0.0 and left to right."""
+    s = 0.0
+    for x, y in zip(xs, ys):
+        s = s + x * y
+    return s
+
+
+def _plane_dist2(d, vecs):
+    """dist(d, V)^2 = |d - F^T F d|^2, F the plane's frame rows vecs."""
+    p = [0.0] * len(d)
+    for f_row in vecs:
+        pj = _products(f_row, d)
+        for i, f in enumerate(f_row):
+            p[i] = p[i] + f * pj
+    for i, x in enumerate(d):
+        p[i] = x - p[i]
+    return _products(p, p)
+
+
+def _angle_bound(nd, w, rho, tol, tiny):
+    """The rounding bound of the angle verdicts: tol * S + tiny with
+    S = |d| (2 + |d| / w) + rho (see _classify)."""
+    return tol * (nd * (2.0 + nd / w) + rho) + tiny
+
+
+def _near_angle_bound(nd, rho, tol, tiny):
+    """The angle verdicts' bound where |d|, and so w, are the reference's."""
+    return tol * (2.0 * nd + rho) + tiny
+
+
+def _side_row(row, d0, nd, rho) -> int:
+    """The verdict of one cone row in one dimension, for a node with offset
+    d0 and |d0| = nd >= rho: the node lies on the side of d0. A row whose
+    cone holds that side (d0 theta > 0, or V the whole line) is inside when
+    nd > rho, and any other row is outside."""
+    plane, _, _, _, vecs, _ = row
+    if vecs != () if plane else d0 * vecs[0] > 0.0:
+        return _INSIDE if nd > rho else _UNDECIDED
+    return _OUTSIDE
+
+
 def _classify_base(region, query: RegionQuery) -> int:
     if query.ball is not None:
         dmin, dmax = region.dist_bounds(query.ball.center)
@@ -522,11 +571,9 @@ def _classify_reference(region, query: RegionQuery) -> int:
 def _row_reference(row, d: np.ndarray, nd: float, w: float, rho: float) -> int:
     """_classify_reference's verdict of one cone row for a node with offset
     d, |d| = nd >= rho and w = sqrt((nd - rho)(nd + rho))."""
-    plane, shape, a, _, vecs, b = row
+    plane, shape, a, _, _, b = row
     if len(d) == 1:
-        if vecs != () if plane else d[0] * vecs[0] > 0.0:
-            return _INSIDE if nd > rho else _UNDECIDED
-        return _OUTSIDE
+        return _side_row(row, d[0], nd, rho)
     if plane:
         dist = shape.dist(d)
         if dist < a * w - b * rho and rho < a * nd:
@@ -565,13 +612,32 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     (_row_reference). At a center on a node's bounding sphere, such as a
     dyadic point at a cube's corner, and at cone edges tangent to it, these
     ties are common; taking the reference for the row alone is what makes
-    them cheap.
+    them cheap. In one dimension e is infinite, so every row falls through
+    to the side rule (_side_row), which is exact.
+
+    Each cone-row expression is a helper that _classify_rows calls on numpy
+    columns: the sums of products (_products), the plane distance
+    (_plane_dist2), the angle verdicts' bounds (_angle_bound and
+    _near_angle_bound) and the side rule. Both row kinds take one signed
+    decision tree: u = -dist(d, V) and c = -a w for the plane row, and
+    u = d . theta and c = a w for a direction row. Each test is
+    t = u - (c +- s), and the plane row's side condition b w - a rho comes
+    last. Negation is exact and rounding symmetric, so the plane row's t
+    are the negations of dist(d, V) - (a w -+ s), bit for bit. Two parts
+    stay in two forms, here on floats and in _classify_rows on columns. The
+    distance bounds and the ball test are written out here: about a fifth
+    of the classifications of a warm doubling_frequency round miss the
+    center cache, and shared helpers for the distance bounds and the ball
+    test made them 1.5 times as slow (1.4 times for the distance bounds
+    alone). The decision tree branches here and masks
+    there: one eager helper for both made the classifications of a warm
+    worst_cone_ratio round 1.2 times as slow. (Medians of ten or more
+    alternating replays of a round's classifications, 2 vCPUs.)
 
     Everything the record keeps belongs to its last query center: the
     distance bounds; the offset d and the triple angle of |d|, w (None
     where the node may hold the center) and the bound e of the angle
-    verdicts (None in one dimension), once a cone query at that center
-    reaches the node; and the
+    verdicts, once a cone query at that center reaches the node; and the
     verdict of the plane cone row alone under the query's plane key. A
     query at another center recomputes the bounds and resets the offset
     and the plane key. So the walks of one worst_cone_ratio or
@@ -586,12 +652,11 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     if shape is None or query.ball is None:
         return _classify_reference(node.region, query)
     qc, qext, tol, tiny, pk = query.floats
-    c = node.c
     if node.qc == qc:
         dmin, dmax = node.dmin, node.dmax
     else:  # Box.dist_bounds
         s_lo = s_hi = 0.0
-        for ci, h, qi in zip(c, shape.ext, qc):
+        for ci, h, qi in zip(node.c, shape.ext, qc):
             g = abs(qi - ci)
             lo, hi = g - h, g + h
             if lo > 0.0:
@@ -612,91 +677,65 @@ def _classify(node: _Node, query: RegionQuery) -> int:
         if t > 0.0:
             return _OUTSIDE
         verdict = _UNDECIDED
-    if not query.cones:
+    cones = query.cones
+    if not cones:
         return verdict
     rho = shape.rho
     d = node.d
     if d is None:
-        d = node.d = [ci - qi for ci, qi in zip(c, qc)]
-        s = 0.0
-        for x in d:
-            s += x * x
-        nd = math.sqrt(s)
+        d = node.d = [ci - qi for ci, qi in zip(node.c, qc)]
+        nd = math.sqrt(_products(d, d))
         near = len(d) > 1 and not abs(nd - rho) >= tol * 2.0 * nd + tiny
         if near:  # the reference's |d|, and so its w
             nd = _norm(np.array(d))
         w = math.sqrt((nd - rho) * (nd + rho)) if nd >= rho else None
-        if len(d) == 1 or w is None:
+        if w is None:
             e = None
+        elif len(d) == 1:  # every row is a tie, decided by the side rule
+            e = math.inf
         elif near:
-            e = tol * (2.0 * nd + rho) + tiny
+            e = _near_angle_bound(nd, rho, tol, tiny)
         else:
-            e = tol * (nd * (2.0 + nd / w) + rho) + tiny
+            e = _angle_bound(nd, w, rho, tol, tiny)
         node.angle = nd, w, e
     nd, w, e = node.angle
     if w is None:  # the node may hold qc
         return _UNDECIDED
-    if e is None:  # one dimension: the node lies on the side of d
-        for plane, _, _, excluded, vecs, _ in query.cones:
-            if vecs != () if plane else d[0] * vecs[0] > 0.0:
-                if not nd > rho:
-                    verdict = _UNDECIDED
-                elif excluded:
-                    return _OUTSIDE
-            elif not excluded:
-                return _OUTSIDE
-        return verdict
-    for row in query.cones:
+    for row in cones:
         plane, _, a, excluded, vecs, b = row
         if plane and node.pk == pk:
             v = node.pv
         else:
-            aw, s = a * w, b * rho
-            if plane:  # dist(d, V) = |d - F^T F d|, F the frame rows
-                p = [0.0] * len(d)
-                for f_row in vecs:
-                    pj = 0.0
-                    for f, x in zip(f_row, d):
-                        pj += f * x
-                    for i, f in enumerate(f_row):
-                        p[i] += f * pj
-                s2 = 0.0
-                for x, pi in zip(d, p):
-                    x -= pi
-                    s2 += x * x
-                dist = math.sqrt(s2)
-                t = dist - (aw - s)
-                if not abs(t) >= e:
-                    v = None
-                elif t < 0.0:
-                    t = a * nd - rho
-                    v = None if not abs(t) >= e else _INSIDE if t > 0.0 else _UNDECIDED
-                else:
-                    t = dist - (aw + s)
-                    if not abs(t) >= e:
-                        v = None
-                    elif t < 0.0:
-                        v = _UNDECIDED
-                    else:
-                        t = b * w - a * rho
-                        v = None if not abs(t) >= e else _OUTSIDE if t >= 0.0 else _UNDECIDED
+            # one signed tree for both kinds: u - c > 0 in the cone's core
+            if plane:
+                u, c = -math.sqrt(_plane_dist2(d, vecs)), -(a * w)
             else:
-                value = 0.0
-                for x, th in zip(d, vecs):
-                    value += x * th
-                t = value - (aw + s)
+                u, c = _products(d, vecs), a * w
+            s = b * rho
+            t = u - (c + s)
+            if not abs(t) >= e:
+                v = None
+            elif t > 0.0:
+                t = (a if plane else b) * nd - rho
+                v = None if not abs(t) >= e else _INSIDE if t > 0.0 else _UNDECIDED
+            else:
+                t = u - (c - s)
                 if not abs(t) >= e:
                     v = None
                 elif t > 0.0:
-                    t = b * nd - rho
-                    v = None if not abs(t) >= e else _INSIDE if t > 0.0 else _UNDECIDED
+                    v = _UNDECIDED
+                elif plane:
+                    t = b * w - a * rho
+                    v = None if not abs(t) >= e else _OUTSIDE if t >= 0.0 else _UNDECIDED
                 else:
-                    t = value - (aw - s)
-                    v = None if not abs(t) >= e else _OUTSIDE if t <= 0.0 else _UNDECIDED
+                    v = _OUTSIDE
             if v is None:  # a near tie: this row by the reference's expressions
-                dv = np.array(d)
-                nr = _norm(dv)
-                v = _row_reference(row, dv, nr, math.sqrt((nr - rho) * (nr + rho)), rho)
+                if len(d) == 1:  # e is infinite
+                    v = _side_row(row, d[0], nd, rho)
+                else:
+                    dv = np.array(d)
+                    nr = _norm(dv)
+                    v = _row_reference(row, dv, nr, math.sqrt((nr - rho) * (nr + rho)), rho)
             if plane:
                 node.pk, node.pv = pk, v
         if v == _UNDECIDED:
@@ -706,28 +745,29 @@ def _classify(node: _Node, query: RegionQuery) -> int:
     return verdict
 
 
-def _column_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of the columns of terms, from 0.0 and left to right, as the
-    scalar loops of _classify add their terms."""
-    s = 0.0
-    for i in range(terms.shape[1]):
-        s = s + terms[:, i]
-    return s
-
-
 def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np.ndarray:
     """_classify's verdicts for the Box nodes whose centers are the rows of
-    centers and whose extent is shape, under a ball query: the same float
-    expressions, term by term and in the same order, on numpy arrays, whose
-    elementwise operations round as Python's do. Near ties are met as in
-    _classify: a node at a near tie of the ball takes _classify_reference's
-    verdict, a near tie of |d| and rho takes the reference's |d|, and a near
-    tie of a cone row takes _row_reference for that row. Nothing is read
-    from or stored in a record."""
+    centers and whose extent is shape, under a ball query. The offsets are
+    taken as contiguous per-axis columns, and every cone-row expression is
+    _classify's own helper on them, in _classify's signed decision tree.
+    Near ties are met as in _classify: a node at a near tie of the ball
+    takes _classify_reference's verdict, a near tie of |d| and rho takes
+    the reference's |d|, and a near tie of a cone row takes _row_reference
+    for that row. In one dimension the bound of every row is infinite, so
+    each row takes _row_reference, whose side rule is _classify's; the
+    level walk is never one-dimensional (_takes_level_walk). Two parts are
+    this function's own form of _classify's, for the cost that _classify
+    gives: the distance bounds with the ball test, and the decision tree,
+    evaluated here as masks over the whole level where _classify branches.
+    Nothing is read from or stored in a record."""
     qc, qext, tol, tiny, _ = query.floats
-    g = np.abs(centers - qc)  # Box.dist_bounds; a lo <= 0 adds 0.0
-    lo, hi = np.maximum(g - shape.half, 0.0), g + shape.half
-    dmin, dmax = np.sqrt(_column_sum(lo * lo)), np.sqrt(_column_sum(hi * hi))
+    d = [centers[:, i] - qi for i, qi in enumerate(qc)]
+    lo, hi = [], []
+    for x, h in zip(d, shape.ext):  # Box.dist_bounds; a lo <= 0 adds 0.0
+        g = np.abs(x)
+        lo.append(np.maximum(g - h, 0.0))
+        hi.append(g + h)
+    dmin, dmax = np.sqrt(_products(lo, lo)), np.sqrt(_products(hi, hi))
     e = tol * (dmax + qext) + tiny
     t = dmax - qext
     inside = t <= 0.0
@@ -739,62 +779,42 @@ def _classify_rows(centers: np.ndarray, shape: _Shape, query: RegionQuery) -> np
     live = ~tie & ~outside
     if query.cones and live.any():
         rho = shape.rho
-        d = centers - qc
-        nd = np.sqrt(_column_sum(d * d))
+        nd = np.sqrt(_products(d, d))
         near = live & ~(np.abs(nd - rho) >= tol * 2.0 * nd + tiny)
         for i in np.flatnonzero(near):  # the reference's |d|, and so its w
-            nd[i] = _norm(d[i])
+            nd[i] = _norm(centers[i] - qc)
         apex = nd < rho  # the node may hold the center
         verdict[live & apex] = _UNDECIDED
         live &= ~apex
-        if d.shape[1] == 1:  # the node lies on the side of d
-            for plane, _, _, excluded, vecs, _ in query.cones:
-                held = np.full(len(d), vecs != ()) if plane else d[:, 0] * vecs[0] > 0.0
-                verdict[live & held & ~(nd > rho)] = _UNDECIDED
-                out = live & ((held & (nd > rho)) if excluded else ~held)
-                verdict[out] = _OUTSIDE
-                live &= ~out
-            cones = ()
-        else:
-            w = np.sqrt(np.where(live, (nd - rho) * (nd + rho), 1.0))
-            e = np.where(near, tol * (2.0 * nd + rho) + tiny,
-                         tol * (nd * (2.0 + nd / np.where(near, 1.0, w)) + rho) + tiny)
-            cones = query.cones
-        for row in cones:
+        w = np.sqrt(np.where(live, (nd - rho) * (nd + rho), 1.0))
+        e = math.inf if len(d) == 1 else np.where(
+            near, _near_angle_bound(nd, rho, tol, tiny),
+            _angle_bound(nd, np.where(near, 1.0, w), rho, tol, tiny))
+        for row in query.cones:
             plane, _, a, excluded, vecs, b = row
-            aw, s = a * w, b * rho
-            if plane:  # dist(d, V) = |d - F^T F d|, F the frame rows
-                p = 0.0
-                for f_row in vecs:
-                    p = p + np.multiply.outer(_column_sum(d * f_row), f_row)
-                x = d - p
-                dist = np.sqrt(_column_sum(x * x))
-                t = dist - (aw - s)
-                row_tie = ~(np.abs(t) >= e)
-                first = t < 0.0
-                t = a * nd - rho
-                row_tie |= first & ~(np.abs(t) >= e)
-                v_in = first & (t > 0.0)
-                t = dist - (aw + s)
-                row_tie |= ~first & ~(np.abs(t) >= e)
-                second = ~first & (t >= 0.0)
-                t = b * w - a * rho
-                row_tie |= second & ~(np.abs(t) >= e)
-                v_out = second & (t >= 0.0)
+            # _classify's signed tree, on masks
+            if plane:
+                u, c = -np.sqrt(_plane_dist2(d, vecs)), -(a * w)
             else:
-                value = _column_sum(d * vecs)
-                t = value - (aw + s)
-                row_tie = ~(np.abs(t) >= e)
-                first = t > 0.0
-                t = b * nd - rho
-                row_tie |= first & ~(np.abs(t) >= e)
-                v_in = first & (t > 0.0)
-                t = value - (aw - s)
-                row_tie |= ~first & ~(np.abs(t) >= e)
-                v_out = ~first & (t <= 0.0)
+                u, c = _products(d, vecs), a * w
+            s = b * rho
+            t = u - (c + s)
+            row_tie = ~(np.abs(t) >= e)
+            first = t > 0.0
+            t = (a if plane else b) * nd - rho
+            row_tie |= first & ~(np.abs(t) >= e)
+            v_in = first & (t > 0.0)
+            t = u - (c - s)
+            row_tie |= ~first & ~(np.abs(t) >= e)
+            v_out = ~first & (t <= 0.0)
+            if plane:
+                t = b * w - a * rho
+                row_tie |= v_out & ~(np.abs(t) >= e)
+                v_out &= t >= 0.0
             for i in np.flatnonzero(live & row_tie):  # this row by the reference's expressions
-                nr = _norm(d[i])
-                v = _row_reference(row, d[i], nr, math.sqrt((nr - rho) * (nr + rho)), rho)
+                dv = centers[i] - qc
+                nr = _norm(dv)
+                v = _row_reference(row, dv, nr, math.sqrt((nr - rho) * (nr + rho)), rho)
                 v_in[i], v_out[i], row_tie[i] = v == _INSIDE, v == _OUTSIDE, False
             tie |= live & row_tie
             live &= ~row_tie
@@ -946,12 +966,16 @@ def _dfs(tree: MeasureTree, query: RegionQuery, depth_budget: int,
 class _KadicChildren:
     """child_fn of kadic_tree, and the builder of its child records.
 
-    centers holds the one float expression and resolution guard of a
-    k-adic child; __call__ wraps a center in a Box, and records makes the
-    records of the children of a node from its record's floats. center_rows
-    is the same expression and guard on numpy arrays, for the children of a
-    whole level of the level walk. Every cube of one side shares one
-    _Shape, so one read-only half-width array.
+    _grid holds the one float expression of the k-adic children of a cube
+    and _refused the one resolution guard, on Python floats or numpy
+    columns alike. centers calls them on a cube's floats: __call__ wraps a
+    center in a Box, and records makes the records of the children of a
+    node from its record's floats. center_rows calls them on the columns of
+    a whole level of the level walk. What stays in two forms is only what
+    each does with the grid: centers picks children and finds the first
+    refused one, and center_rows lays the grid out as rows and refuses the
+    level. Every cube of one side shares one _Shape, so one read-only
+    half-width array.
     """
 
     __slots__ = ("n", "k", "shapes")
@@ -968,59 +992,59 @@ class _KadicChildren:
             shape = self.shapes[h] = _Shape(half)
         return shape
 
+    def _grid(self, pc, ph) -> tuple:
+        """(h, axes, grid) of the children of the cubes with centers pc and
+        half-widths ph, both given per axis as Python floats or numpy
+        columns: the half-width h of a child; axes, per axis the k child
+        coordinates pc_i - ph_i + o * side + h for o = 0..k-1, evaluated in
+        that order, cube(pc - ph + offset * side, side)'s center; and grid,
+        their row-major product, one tuple of coordinates a child."""
+        side = 2.0 * ph[0] / self.k
+        h = 0.5 * side
+        axes = [[x - w + o * side + h for o in range(self.k)] for x, w in zip(pc, ph)]
+        return h, axes, list(itertools.product(*axes))
+
+    @staticmethod
+    def _refused(h, c_max, pc_max, ph0):
+        """Whether a child of half-width h, largest coordinate c_max, of a
+        cube with largest coordinate pc_max and half-width ph0, lies within
+        the rounding of its coordinates: its sums round by a few ulps of the
+        largest coordinate, as in MeasureTree.child's bound for a ball
+        child. The bound rounds monotonically in c_max, so no child of a
+        cube is refused unless one with the cube's largest child coordinate
+        would be."""
+        return h <= 8.0 * _U * (c_max + pc_max + ph0)
+
     def centers(self, pc, ph, level: int, idxs) -> tuple:
         """(h, centers) of the children idxs of the cube with center pc and
         half-widths ph (float sequences): the half-width of a child, and
-        the center of each as a float tuple.
-
-        A center is cube(pc - ph + offset * side, side)'s, computed on
-        Python floats, which round as numpy's elementwise operations do;
-        along each axis there are k coordinates, and the children take
-        them row-major. A child whose half-width is at most the rounding
-        bound of its coordinates raises ResourceGuard, as a ball child does
-        in MeasureTree.child; the first such child in idxs raises.
+        the center of each as a float tuple, by _grid on Python floats. A
+        child whose half-width is at most the rounding bound of its
+        coordinates raises ResourceGuard, as a ball child does in
+        MeasureTree.child; the first such child in idxs raises.
         """
-        side = 2.0 * ph[0] / self.k
-        h = 0.5 * side
-        axes = [[ci - w + o * side + h for o in range(self.k)] for ci, w in zip(pc, ph)]
-        grid = list(itertools.product(*axes))
+        h, axes, grid = self._grid(pc, ph)
         out = [grid[idx] for idx in idxs]
         top = max(map(abs, pc))
-
-        def refused(c_max):
-            # the sums round by a few ulps of the largest coordinate, as in
-            # MeasureTree.child's bound for a ball child
-            return h <= 8.0 * _U * (c_max + top + ph[0])
-
-        # the bound rounds monotonically in c_max, so no child is refused
-        # unless one with the largest coordinate of all would be
-        if refused(max(map(abs, itertools.chain(*axes)))):
+        if self._refused(h, max(map(abs, itertools.chain(*axes))), top, ph[0]):
             for idx, c in zip(idxs, out):
-                if refused(max(map(abs, c))):
+                if self._refused(h, max(map(abs, c)), top, ph[0]):
                     raise ResourceGuard(f"child {idx} at level {level} has a half-width "
                                         "below the resolution of its coordinates")
         return h, out
 
     def center_rows(self, pc: np.ndarray, ph):
-        """centers' expression on numpy arrays, for every child of the cubes
+        """centers' expression on numpy columns, for every child of the cubes
         with centers the rows of pc and shared half-widths ph: (h, centers)
         with the centers as rows, parent by parent and each parent's
         children row-major; or None if centers would raise ResourceGuard for
         a child of any of the cubes."""
-        k, n = self.k, self.n
-        side = 2.0 * ph[0] / k
-        h = 0.5 * side
-        offsets = np.arange(k) * side
-        axes = [(pc[:, i] - w)[:, None] + offsets + h for i, w in enumerate(ph)]
-        # as in centers: the bound rounds monotonically in the largest
-        # coordinate, which one child of each cube has
-        c_max = np.abs(np.stack(axes)).max(axis=(0, 2))
-        if np.any(h <= 8.0 * _U * (c_max + np.abs(pc).max(axis=1) + ph[0])):
+        h, axes, grid = self._grid(pc.T, ph)
+        if np.any(self._refused(h, np.abs(axes).max(axis=(0, 1)), np.abs(pc).max(axis=1),
+                                ph[0])):
             return None
-        grid = np.empty((len(pc),) + (k,) * n + (n,))
-        for i, a in enumerate(axes):
-            grid[..., i] = a.reshape((len(pc),) + (1,) * i + (k,) + (1,) * (n - 1 - i))
-        return h, grid.reshape(-1, n)
+        # grid is (child, axis, parent); the rows go parent by parent
+        return h, np.array(grid).transpose(2, 0, 1).reshape(-1, self.n)
 
     def __call__(self, region, level: int, idx: int) -> Box:
         h, (c,) = self.centers(region.center.tolist(), region.half.tolist(), level, (idx,))

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import geometry
-from conelab.configurations import check_separated_inclusion, compute_t
+from conelab.configurations import (check_separated_inclusion, compute_t,
+                                    search_counterexample_set)
+from conelab.constructions import support_point
 from conelab.geometry import (DirectionNet, Subspace, build_direction_net,
                               build_subspace_net, direction_net_beta,
                               in_almost_halfspace, in_one_sided_cone,
                               in_plane_cone, orthogonal_project,
                               random_subspace, random_unit_vectors,
                               subspace_distance, unit_vector)
+from conelab.measure import lebesgue_tree
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 alphas = st.floats(0.05, 1.0)
@@ -427,3 +431,24 @@ def test_net_builders_take_numpy_integers():
             == frames(build_subspace_net(2, 1, 0.5, rejection_streak=50)))
     assert (build_direction_net(np.int64(3), 0.9).directions.tolist()
             == build_direction_net(3, 0.9).directions.tolist())
+
+
+# every entry point that takes a seed, called with a given seed
+SEEDED = {
+    "sample_points": lambda seed: lebesgue_tree(2).sample_points(2, 3, seed=seed),
+    "build_direction_net": lambda seed: build_direction_net(3, 0.9, seed=seed),
+    "build_direction_net-2d": lambda seed: build_direction_net(2, 0.5, seed=seed),
+    "build_subspace_net": lambda seed: build_subspace_net(2, 1, 0.5, seed=seed),
+    "search_counterexample_set": lambda seed: search_counterexample_set(2, 0.5, 3, 2, seed),
+    "support_point": lambda seed: support_point(lebesgue_tree(2), 3, seed=seed),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_seeded_entry_points_take_only_integer_seeds_from_zero(call):
+    # a bool once ran as seed 1, a float raised numpy's TypeError, and a
+    # negative seed passed where nothing is drawn, as for a 2-d direction net
+    for seed in (True, False, 2.5, 1.0, -1, None, "1"):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            call(seed)
+    assert pickle.dumps(call(np.int64(7))) == pickle.dumps(call(7))

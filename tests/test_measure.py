@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1326,6 +1327,75 @@ def test_center_rows_refuse_where_centers_raise():
     assert raised
 
 
+def _columns_and_rows(values):
+    """The columns of a 2-d array as contiguous arrays, and its rows as
+    float lists."""
+    return [np.ascontiguousarray(values[:, i]) for i in range(values.shape[1])], values.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_helpers_give_the_same_bits_on_columns_as_on_floats(n):
+    # _classify calls the cone-row helpers on a node's floats, _classify_rows
+    # on a level's columns, and _KadicChildren._grid serves both centers and
+    # center_rows: each must round alike on both, and change no column
+    rng = np.random.default_rng(90 + n)
+    count = 400
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0].T
+    vecs = tuple(map(tuple, frame[:rng.integers(1, n + 1)].tolist()))
+    theta = tuple(frame[0].tolist())
+    d = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-6, 6, size=(count, 1))
+    # offsets within a few ulps of the plane or of theta's orthogonal
+    # complement, so that the distance and the product nearly cancel
+    along = rng.standard_normal((count // 4, 1)) * np.array(vecs)[rng.integers(len(vecs))]
+    d[:count // 4] = along * (1.0 + 1e-15 * rng.standard_normal((count // 4, n)))
+    if n > 1:
+        across = rng.standard_normal((count // 4, n))
+        across -= (across @ frame[0])[:, None] * frame[0]
+        d[count // 4:count // 2] = across
+    d[rng.random((count, n)) < 0.1] = 0.0
+    d[rng.random((count, n)) < 0.1] = -0.0
+    cols, rows = _columns_and_rows(d)
+    before = [col.copy() for col in cols]
+    assert any(math.copysign(1.0, x) < 0.0 for row in rows for x in row if x == 0.0)
+
+    def same(column, floats):
+        assert _bits(column) == _bits(floats)
+        assert all(_bits(col) == _bits(old) for col, old in zip(cols, before))
+
+    same(measure._products(cols, cols), [measure._products(r, r) for r in rows])
+    same(measure._products(cols, theta), [measure._products(r, theta) for r in rows])
+    same(measure._plane_dist2(cols, vecs), [measure._plane_dist2(r, vecs) for r in rows])
+    same(measure._plane_dist2(cols, ()), [measure._plane_dist2(r, ()) for r in rows])
+    rho, tol, tiny = 0.3 * 2.0 ** -int(rng.integers(20)), 8.0 * (n + 2) ** 2 * 2.0 ** -53, 2.0 ** -500
+    nd = np.sqrt(measure._products(cols, cols)) + 2.0 * rho
+    w = np.sqrt((nd - rho) * (nd + rho))
+    same(measure._angle_bound(nd, w, rho, tol, tiny),
+         [measure._angle_bound(a, b, rho, tol, tiny) for a, b in zip(nd.tolist(), w.tolist())])
+    same(measure._near_angle_bound(nd, rho, tol, tiny),
+         [measure._near_angle_bound(a, rho, tol, tiny) for a in nd.tolist()])
+    for k in (2, 3):
+        kids = measure._KadicChildren(n, k)
+        # cubes near the origin, and cubes at 2^40 whose children the
+        # guard refuses
+        ph = [2.0 ** -int(rng.integers(12, 30))] * n
+        far = np.where(rng.random((count, 1)) < 0.5, 2.0 ** 40, 0.0)
+        cols, rows = _columns_and_rows(np.abs(d) % 1.0 + far)
+        before = [col.copy() for col in cols]
+        h, axes, grid = kids._grid(cols, ph)
+        for p, row in enumerate(rows):
+            h_row, axes_row, grid_row = kids._grid(row, ph)
+            assert _bits([h]) == _bits([h_row])
+            assert [_bits(a[p] for a in axis) for axis in axes] == list(map(_bits, axes_row))
+            assert [_bits(c[p] for c in child) for child in grid] == list(map(_bits, grid_row))
+        c_max = np.abs(axes).max(axis=(0, 1))
+        pc_max = np.abs(np.array(cols)).max(axis=0)
+        refused = kids._refused(h, c_max, pc_max, ph[0])
+        assert refused.tolist() == [kids._refused(h, a, b, ph[0])
+                                    for a, b in zip(c_max.tolist(), pc_max.tolist())]
+        assert refused.any() and not refused.all()
+        assert all(_bits(col) == _bits(old) for col, old in zip(cols, before))
+
+
 def _builds_records(tree, query, depth, early_stop=None):
     region_measure(tree, query, depth, early_stop)
     return tree._root.kids is not None
@@ -1455,34 +1525,90 @@ def _margin_reference(region, query):
     return verdict
 
 
+def _checked_margin(region, query):
+    """_margin_reference's verdict, after checking that the angle verdict
+    gives it too wherever the margin decides the node."""
+    margin = _margin_reference(region, query)
+    if margin != measure._UNDECIDED:
+        assert measure._classify_reference(region, query) == margin, region
+    return margin
+
+
 def _margin_dfs(tree, query, depth):
     """The margin's enclosure by the tuple DFS. Every node it pops must get
     the margin's verdict from the angle verdict too, wherever the margin
     decides it."""
-    def classify(region, q):
-        margin = _margin_reference(region, q)
-        if margin != measure._UNDECIDED:
-            assert measure._classify_reference(region, q) == margin, region
-        return margin
+    return _reference_dfs(tree, query, depth, classify=_checked_margin)[0]
 
-    return _reference_dfs(tree, query, depth, classify=classify)[0]
+
+def _exact_leaf_sums(tree, query, depth_budget, classify):
+    """(lo, hi, depth_used) of the tuple DFS with classify's verdicts, its
+    leaf masses summed exactly as Fractions. A node's mass is the product
+    along its path of each level's float weights over their exact sum, so
+    that it is the sum of its children's masses, as the measure's is; the
+    float weights alone need not sum to 1 (9 fl(1/9) = 1 - 2^-54)."""
+    lo = hi = Fraction(0)
+    depth_used = 0
+    stack = [(tree.root_region, Fraction(1), 0)]
+    while stack:
+        region, mass, depth = stack.pop()
+        depth_used = max(depth_used, depth)
+        verdict = classify(region, query)
+        if verdict == measure._INSIDE:
+            lo += mass
+            hi += mass
+        elif verdict == measure._UNDECIDED:
+            if depth >= depth_budget:
+                hi += mass
+            else:
+                weights = [Fraction(w) for w in tree.weights(depth + 1)]
+                total = sum(weights)
+                for idx, w in enumerate(weights):
+                    stack.append((tree.child(region, depth + 1, idx), mass * w / total,
+                                  depth + 1))
+    return lo, hi, depth_used
+
+
+def _angle_and_margin_sums(make, query, depth):
+    """The exact leaf sums of region_measure's walk and of the margin's. The
+    angle verdict decides every node the margin decides, and the same way,
+    so its leaves' exact sums nest inside the margin's with no slack."""
+    got = region_measure(make(), query, depth)
+    assert got == _reference_dfs(make(), query, depth)[0]
+    lo, hi, depth_used = _exact_leaf_sums(make(), query, depth, measure._classify_reference)
+    margin_lo, margin_hi, margin_used = _exact_leaf_sums(make(), query, depth, _checked_margin)
+    assert margin_lo <= lo and hi <= margin_hi
+    assert got.depth_used == depth_used <= margin_used
+    return lo, hi, margin_lo, margin_hi
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_angle_enclosures_lie_inside_margin_enclosures(data):
-    # the query families of the DFS and level-walk tests, without early stop
+    # the query families of the DFS and level-walk tests, without early stop;
+    # the float sums of the two walks' leaves round apart by more than their
+    # depth would bound, so their exact sums are compared
     if data.draw(st.booleans()):
         make, query, depth, _ = _dfs_case(data.draw)
     else:
         make, query, depth = _level_walk_case(data.draw)
-    margin = _margin_dfs(make(), query, depth)
-    got = region_measure(make(), query, depth)
-    # the two sum the masses of other leaves in another order, so their
-    # bounds may differ by the rounding of the masses and the sums
-    ulps = (4 * depth + 16) * 2.0 ** -52
-    assert margin.lo <= got.lo + ulps and got.hi <= margin.hi + ulps
-    assert got.depth_used <= margin.depth_used
+    _angle_and_margin_sums(make, query, depth)
+
+
+def test_angle_enclosure_inside_margin_where_the_float_sums_do_not_nest():
+    # 755 leaves against the margin's 1,971 give the same exact hi, yet their
+    # float sums differ by 120 2^-53, above a slack of (4 depth + 16) 2^-52
+    query = RegionQuery(ball=Ball(np.array([0.5, 0.25]), 0.5),
+                        plane_cone=(Subspace(np.array([[1.0, 0.0]])), 1.0))
+
+    def make():
+        return lebesgue_tree(2, k=3)
+
+    lo, hi, margin_lo, margin_hi = _angle_and_margin_sums(make, query, 4)
+    assert hi == margin_hi and float(hi) == 0.6467001981405274
+    assert margin_lo < lo
+    got, margin = region_measure(make(), query, 4), _margin_dfs(make(), query, 4)
+    assert got.hi - margin.hi == 120 * 2.0 ** -53
 
 
 @pytest.mark.parametrize("depth", [6, 8, 10])
