@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import _as_vector
 from .measure import Ball, Box, MeasureTree, RegionQuery, kadic_tree, region_measure
 from .validate import require_int
 
@@ -48,32 +49,43 @@ def constant_binomial_tree(q: float) -> MeasureTree:
 
 
 def rotation_angle(i: int) -> float:
-    """Per-level rotation angle 1/sqrt(i)."""
+    """Per-level rotation angle 1/sqrt(i), for an integer level i >= 1."""
+    require_int(i, "i", 1)
     return 1.0 / math.sqrt(i)
 
 
 def level_radius(n: int) -> float:
-    """Radius of a level-n construction ball: R_0 = 1, R_n = R_{n-1} / (2 n^2)."""
+    """Radius of a level-n construction ball: R_0 = 1, R_n = R_{n-1} / (2 n^2),
+    for an integer n >= 0."""
+    require_int(n, "n", 0)
     r = 1.0
     for i in range(1, n + 1):
         r /= 2.0 * i * i
     return r
 
 
+def _fan_shifts(i: int, j: np.ndarray) -> np.ndarray:
+    """Translations t_j of the level-i children j (a numpy index array in
+    1..2 i^2), one row each: s (2 j - 2 i^2 - 1, 0) with s = 1 / (2 i^2)."""
+    s = 1.0 / (2.0 * i * i)
+    shifts = np.zeros((len(j), 2))
+    shifts[:, 0] = s * (2.0 * j - 2.0 * i * i - 1.0)
+    return shifts
+
+
 def _rot_level(i: int):
     """Affine contractions z -> M_j z + t_j of the 2 i^2 children at level i.
 
     M_j depends on j only through the sign (-1)^j of its rotation, so this
-    returns M for odd j, M for even j, and the list of t_j for j = 1..2 i^2.
+    returns M for odd j, M for even j, and the t_j for j = 1..2 i^2 as the
+    rows of one array.
     """
     s = 1.0 / (2.0 * i * i)
     a = rotation_angle(i)
     ca, sa = math.cos(a), math.sin(a)
     m_odd = s * np.array([[ca, sa], [-sa, ca]])
     m_even = s * np.array([[ca, -sa], [sa, ca]])
-    shifts = [s * np.array([2.0 * j - 2.0 * i * i - 1.0, 0.0])
-              for j in range(1, 2 * i * i + 1)]
-    return m_odd, m_even, shifts
+    return m_odd, m_even, _fan_shifts(i, np.arange(1, 2 * i * i + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +116,9 @@ def rotating_ball_tree() -> MeasureTree:
 
 
 def level_ball_count(n: int) -> int:
+    """Number of level-n construction balls, prod 2 i^2 over i = 1..n, for an
+    integer n >= 0."""
+    require_int(n, "n", 0)
     c = 1
     for i in range(1, n + 1):
         c *= 2 * i * i
@@ -402,20 +417,31 @@ def ball_hits_plane_cone(x, direction, alpha: float, center, radius: float) -> b
 
     The cone is the open double wedge of half-angle asin(alpha) around the
     +-direction axis; the distance from a point to the wedge is computed in
-    closed form, so the test has no slack.
+    closed form, so the test has no slack. At alpha = 1 the wedge still
+    leaves out the line through x perpendicular to the axis. x, direction
+    and center must be finite vectors of one dimension, direction nonzero,
+    and radius finite and >= 0.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if alpha == 1.0:
-        return True  # the cone is the whole plane minus the apex
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    v = np.asarray(center, dtype=float) - x
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius!r}")
+    x = _as_vector(x)
+    d = _as_vector(direction, len(x))
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    return _ball_hits_cone(x, d / norm, math.asin(alpha), _as_vector(center, len(x)),
+                           radius)
+
+
+def _ball_hits_cone(x, d, gamma: float, center, radius: float) -> bool:
+    """ball_hits_plane_cone on checked inputs: d a unit vector and gamma the
+    wedge's half-angle."""
+    v = center - x
     b = float(np.linalg.norm(v))
     if b <= radius:
         return radius > 0.0
-    gamma = math.asin(alpha)
     cosi = abs(float(v @ d)) / b
     psi = math.acos(min(1.0, max(-1.0, cosi)))  # angle to the nearest axis ray
     if psi < gamma:
@@ -430,7 +456,8 @@ def perpendicular_cone_hits(level: int, alpha: float) -> dict:
     Takes the fan of 2 level^2 siblings at the given level, puts x at the
     center of the middle sibling (0-based index level^2), takes the scale
     r = level * R_level, orients the cone perpendicular to the fan line, and
-    counts siblings whose ball meets both the cone and B(x, r).
+    counts siblings whose ball meets both the cone and B(x, r). level must
+    be an integer >= 1.
 
     Every fan of a level is the same configuration up to a similarity, so
     the count is evaluated in the parent's local frame: the sibling centers
@@ -438,16 +465,25 @@ def perpendicular_cone_hits(level: int, alpha: float) -> dict:
     radius 1). Global coordinates would cancel catastrophically once
     R_level drops below the double-precision resolution of the ambient
     position.
+
+    Siblings lie 2s apart and only those with |c - x| < r + s = (level + 1) s
+    count, so every one lies within (level + 1) / 2 indices of x's; only the
+    siblings within level + 1 indices, twice that reach, are built.
     """
-    _, _, shifts = _rot_level(level)
-    centers = np.array(shifts)
-    count = len(shifts)
+    require_int(level, "level", 1)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    count = 2 * level * level
+    mid = level * level + 1  # x's sibling j
+    j = np.arange(max(1, mid - level - 1), min(count, mid + level + 1) + 1)
+    centers = _fan_shifts(level, j)
     s = 1.0 / count  # sibling radius relative to the parent ball
     perp = np.array([0.0, 1.0])
-    x = centers[level * level]
+    gamma = math.asin(alpha)
+    x = centers[mid - j[0]]
     r = level * s
     near = centers[np.linalg.norm(centers - x, axis=1) < r + s]
-    hits = sum(1 for c in near if ball_hits_plane_cone(x, perp, alpha, c, s))
+    hits = sum(1 for c in near if _ball_hits_cone(x, perp, gamma, c, s))
     return {"level": level, "hits": hits, "radius": level_radius(level),
             "scale": level * level_radius(level), "fan_size": count}
 

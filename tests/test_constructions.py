@@ -45,6 +45,7 @@ def test_constant_binomial():
 
 
 def test_level_radius_values():
+    assert level_radius(0) == 1.0 and level_ball_count(0) == 1  # the root ball
     assert level_radius(2) == pytest.approx(1.0 / 16.0)
     assert level_radius(3) == pytest.approx(1.0 / 288.0)
     assert rotation_angle(4) == pytest.approx(0.5)
@@ -230,6 +231,56 @@ def test_ball_hits_plane_cone_cases():
     rho = b * math.cos(g)
     assert ball_hits_plane_cone(x, d, 0.5, np.array([0.0, b]), rho + 1e-9)
     assert not ball_hits_plane_cone(x, d, 0.5, np.array([0.0, b]), rho - 1e-9)
+
+
+def test_ball_hits_plane_cone_at_alpha_one_leaves_out_the_perpendicular_line():
+    # the open double wedge of half-angle pi/2 is the plane minus the line
+    # through x perpendicular to the axis
+    x = np.zeros(2)
+    d = np.array([1.0, 0.0])
+    assert not ball_hits_plane_cone(x, d, 1.0, x, 0.0)
+    assert not ball_hits_plane_cone(x, d, 1.0, np.array([0.0, 2.0]), 0.0)
+    assert ball_hits_plane_cone(x, d, 1.0, np.array([0.0, 2.0]), 1e-9)
+    assert ball_hits_plane_cone(x, d, 1.0, np.array([1e-9, 2.0]), 0.0)
+    assert ball_hits_plane_cone(x, d, 1.0, x, 1e-9)
+
+
+@pytest.mark.parametrize("x, direction, center, radius", [
+    ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), -0.1),
+    ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), math.nan),
+    ((0.0, 0.0), (0.0, 0.0), (2.0, 0.0), 0.1),
+    ((math.nan, 0.0), (1.0, 0.0), (2.0, 0.0), 0.1),
+    ((0.0, 0.0), (1.0, 0.0), (math.inf, 0.0), 0.1),
+], ids=["negative-radius", "nan-radius", "zero-direction", "nan-x", "infinite-center"])
+def test_ball_hits_plane_cone_refuses_degenerate_inputs(x, direction, center, radius):
+    with pytest.raises(ValueError):
+        ball_hits_plane_cone(np.array(x), np.array(direction), 0.5, np.array(center), radius)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: perpendicular_cone_hits(0, 0.9),
+    lambda: perpendicular_cone_hits(-1, 0.9),
+    lambda: perpendicular_cone_hits(True, 0.9),
+    lambda: rotation_angle(0),
+    lambda: rotation_angle(True),
+    lambda: level_radius(-3),
+    lambda: level_ball_count(-3),
+], ids=["hits-0", "hits-negative", "hits-bool", "angle-0", "angle-bool", "radius-negative",
+        "count-negative"])
+def test_rotating_ball_entry_points_refuse_bad_levels(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_rot_level_shifts_are_the_per_child_expression():
+    # each row of the fan is the per-child array it replaced, bit for bit
+    for i in range(1, 65):
+        s = 1.0 / (2.0 * i * i)
+        shifts = constructions._rot_level(i)[2]
+        want = [s * np.array([2.0 * j - 2.0 * i * i - 1.0, 0.0]) for j in range(1, 2 * i * i + 1)]
+        assert shifts.shape == (2 * i * i, 2)
+        assert ([list(map(float.hex, row)) for row in shifts.tolist()]
+                == [list(map(float.hex, row.tolist())) for row in want]), i
 
 
 def test_perpendicular_cone_hits_constant():

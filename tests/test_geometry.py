@@ -211,8 +211,9 @@ def test_net_input_validation():
 
 
 # tests/net_golden.json holds nets recorded before the net builders shared
-# one greedy packer and one batched sine-angle kernel: the planes' frames
-# and the directions must match bit for bit.
+# one greedy packer and one batched sine-angle kernel (G(3,2) at alpha 0.5:
+# before its stacked sines took the closed form for 2 x 2 products): the
+# planes' frames and the directions must match bit for bit.
 NET_GOLDEN = json.loads((pathlib.Path(__file__).parent / "net_golden.json").read_text())
 
 
